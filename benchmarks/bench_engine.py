@@ -1,32 +1,28 @@
 #!/usr/bin/env python
-"""Engine throughput benchmark: serial vs cached vs parallel.
+"""Engine throughput benchmark: serial vs cached.
 
-Builds the dependence graph of two workloads —
+Builds the dependence graph of three workloads —
 
 * **kernels** — every routine of the bundled corpus (the paper's suites),
 * **generated** — random nests with deliberately low coefficient/constant
   diversity, modelling the paper's observation that real programs repeat a
   small number of subscript shapes,
 * **coupled** — nests dominated by coupled subscript groups (the Delta
-  test's constraint-propagation path), the workload the batched
-  backend's coupled-group lock-step pre-run is gated on,
+  test's constraint-propagation path),
 
-three ways: the plain serial builder, the serial builder behind the
-canonical-pair LRU cache, and the process-pool builder with adaptive
-dispatch.  All three graph sets are checked for byte-identical verdicts
-before any number is reported — verification runs *outside* the timed
-regions (it is equal overhead for every configuration and not engine
-work).  Each workload also reports a per-phase wall-time breakdown from a
-profiled cached pass and p50/p95 per-pair build latency sampled per
-routine over the warm cache.  A ``backends`` section repeats the
-cold/warm/latency measurements once per registered test backend
-(``reference`` and, when numpy is importable, ``batched``) so the
-vectorized path's test-phase win is recorded next to the baseline it is
-gated against.  Results land in ``BENCH_engine.json``.
+three ways: the plain serial builder, and the serial builder behind the
+canonical-pair LRU cache both cold (a fresh engine) and warm (an engine
+that has seen the workload).  All graph sets are checked for
+byte-identical verdicts before any number is reported — verification runs
+*outside* the timed regions (it is equal overhead for every configuration
+and not engine work).  Each workload also reports a per-phase wall-time
+breakdown from a profiled cached pass and p50/p95 per-pair build latency
+sampled per routine over the warm cache.  Results land in
+``BENCH_engine.json``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--jobs N]
+    PYTHONPATH=src python benchmarks/bench_engine.py [--quick]
         [--repeats R] [--out BENCH_engine.json]
 """
 
@@ -41,7 +37,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.backends import available_backends
 from repro.corpus.generator import coupled_group_nest, random_nest
 from repro.corpus.loader import default_symbols, load_corpus
 from repro.engine import DependenceEngine
@@ -68,8 +63,7 @@ def generated_workload(nests: int, shapes: int = 12):
     corpus-wide pass hits the cache on roughly ``1 - shapes/nests`` of the
     pairs.  ``coupled_fraction`` follows the paper's survey: subscript
     positions overwhelmingly use their own loop index (separable ZIV/SIV
-    dominate; coupled groups are rare), which is also the mix the batched
-    backend's vector lanes are built for.
+    dominate; coupled groups are rare).
     """
     pool = []
     for seed in range(shapes):
@@ -99,9 +93,7 @@ def coupled_workload(nests: int):
     single separable ZIV/SIV query.  Interleaves the minimal
     ``coupled_group_nest`` family (one group of 2–4 positions per pair,
     varied offsets — Section 5.4's linear-complexity workload) with
-    random nests at ``coupled_fraction=0.9``.  This is the workload the
-    batched backend's coupled-group lock-step pre-run is measured and
-    gated on.
+    random nests at ``coupled_fraction=0.9``.
     """
     work = []
     for i in range(nests):
@@ -202,104 +194,7 @@ def pair_latencies(work, engine):
     return samples
 
 
-def bench_backends(name, work, symbols, repeats, serial_sigs):
-    """Cold/warm timings and pair latencies per registered test backend.
-
-    Every *available* backend (``reference`` always; ``batched`` when
-    numpy imports) rebuilds the identical workload through fresh and warm
-    engines.  Each backend's graphs are checked against the serial
-    signatures before any number is reported, so a vectorized backend can
-    never buy speed with different verdicts.  The per-backend ``test``
-    phase seconds come from one profiled cold pass and are the figure the
-    batching work is gated on: the batched backend must spend less wall
-    time inside the test phase than the reference backend on the
-    generated workload.
-    """
-    backends = available_backends()
-    warm_engines = {}
-    runs = {}
-    for backend in backends:
-        def cold_run(backend=backend):
-            engine = DependenceEngine(symbols=symbols, backend=backend)
-            return build_engine(work, engine, TestRecorder())
-
-        def warm_run(backend=backend):
-            return build_engine(work, warm_engines[backend], TestRecorder())
-
-        warm_engines[backend] = DependenceEngine(symbols=symbols, backend=backend)
-        build_engine(work, warm_engines[backend], TestRecorder())
-        runs[f"{backend}:cold"] = cold_run
-        runs[f"{backend}:warm"] = warm_run
-
-    # One round-robin over every backend's cold and warm configuration —
-    # the backends are compared against each other, so none of them may
-    # systematically run on a warmer machine than the others.  Floor of
-    # three rounds even in --quick mode: the regression gate compares
-    # these numbers across backends, and a single ~50ms pass (with the
-    # first-listed backend always coldest) flakes; the extra rounds cost
-    # well under a second.
-    rounds = max(repeats, 3)
-    best, values = best_of_interleaved(rounds, runs)
-    for backend in backends:
-        for label in ("cold", "warm"):
-            if serial_sigs != signatures(values[f"{backend}:{label}"]):
-                raise SystemExit(
-                    f"{name}: backend {backend!r} {label} verdicts "
-                    "diverge from serial"
-                )
-
-    # Latency and profiled passes interleave the same way: per-routine
-    # best-of-``repeats`` latency samples, and the profiled pass (the
-    # cold test-phase seconds the backend gate compares) keeps the run
-    # with the least test-phase time per backend — a single ~50ms pass is
-    # too noisy to gate CI on.
-    latencies = {backend: None for backend in backends}
-    phases = {backend: None for backend in backends}
-    coverage = {backend: {} for backend in backends}
-    for _ in range(rounds):
-        for backend in backends:
-            samples = pair_latencies(work, warm_engines[backend])
-            seen = latencies[backend]
-            latencies[backend] = (
-                samples
-                if seen is None
-                else [min(a, b) for a, b in zip(seen, samples)]
-            )
-            profiled = DependenceEngine(
-                symbols=symbols, profile=True, backend=backend
-            )
-            build_engine(work, profiled, TestRecorder())
-            candidate = profiled.profile.as_dict()
-            if phases[backend] is None or (
-                candidate["phases"].get("test", {"s": 0.0})["s"]
-                < phases[backend]["phases"].get("test", {"s": 0.0})["s"]
-            ):
-                phases[backend] = candidate
-                # Coverage of the kept profiled pass: how many pairs the
-                # backend resolved fully vectorized vs fell back per-pair
-                # (empty for the reference backend).
-                coverage[backend] = dict(profiled.stats.backend_coverage)
-
-    sections = {}
-    for backend in backends:
-        p50 = percentile(latencies[backend], 0.50)
-        p95 = percentile(latencies[backend], 0.95)
-        sections[backend] = {
-            "cold_s": round(best[f"{backend}:cold"], 4),
-            "warm_s": round(best[f"{backend}:warm"], 4),
-            "cold_test_phase_s": phases[backend]["phases"].get(
-                "test", {"s": 0.0}
-            )["s"],
-            "pair_latency_warm_p50_us": round(p50 * 1e6, 2) if p50 else None,
-            "pair_latency_warm_p95_us": round(p95 * 1e6, 2) if p95 else None,
-            "phases": phases[backend],
-        }
-        if coverage[backend]:
-            sections[backend]["coverage"] = coverage[backend]
-    return sections
-
-
-def bench_workload(name, work, symbols, jobs, repeats):
+def bench_workload(name, work, symbols, repeats):
     pairs = sum(1 for _, nodes in work for _ in iter_pairs(nodes))
     serial_recorder = TestRecorder()
 
@@ -319,38 +214,21 @@ def bench_workload(name, work, symbols, jobs, repeats):
     warm_engine = DependenceEngine(symbols=symbols)
     build_engine(work, warm_engine, TestRecorder())
 
-    # Parallel: like cold, a fresh engine per repeat pays its own misses;
-    # pools (created lazily, only if some build dispatches) are torn down
-    # outside the timed region.
-    parallel_engines = []
-
-    def parallel_run():
-        engine = DependenceEngine(symbols=symbols, jobs=jobs)
-        parallel_engines.append(engine)
-        return build_engine(work, engine, TestRecorder())
-
     best, values = best_of_interleaved(
         repeats,
         {
             "serial": lambda: build_serial(work, symbols, serial_recorder),
             "cold": cold_run,
             "warm": lambda: build_engine(work, warm_engine, TestRecorder()),
-            "parallel": parallel_run,
         },
     )
-    serial_s, cold_s = best["serial"], best["cold"]
-    warm_s, parallel_s = best["warm"], best["parallel"]
+    serial_s, cold_s, warm_s = best["serial"], best["cold"], best["warm"]
     latencies = pair_latencies(work, warm_engine)
-    parallel_stats = parallel_engines[-1].stats.as_dict()
-    for engine in parallel_engines:
-        engine.close()
 
     serial_sigs = signatures(values["serial"])
-    for label in ("cold", "warm", "parallel"):
+    for label in ("cold", "warm"):
         if serial_sigs != signatures(values[label]):
             raise SystemExit(f"{name}: {label} verdicts diverge from serial")
-
-    backends = bench_backends(name, work, symbols, repeats, serial_sigs)
 
     # Phase breakdown from one profiled cold pass (untimed: profiling
     # itself perturbs the hot path, so it never contributes to speedups).
@@ -372,13 +250,6 @@ def bench_workload(name, work, symbols, jobs, repeats):
         "pair_latency_warm_p95_us": round(p95 * 1e6, 2) if p95 else None,
         "cache": cold_stats,
         "phases": phase_profile,
-        "backends": backends,
-        "parallel_jobs": jobs,
-        "parallel_s": round(parallel_s, 4),
-        "parallel_speedup": (
-            round(serial_s / parallel_s, 2) if parallel_s else None
-        ),
-        "auto_serial_builds": parallel_stats.get("auto_serial", 0),
         "verdicts_identical": True,
     }
 
@@ -396,7 +267,6 @@ def main(argv=None):
         "--quick", action="store_true",
         help="small generated corpus, single repeat (CI smoke mode)",
     )
-    parser.add_argument("--jobs", type=int, default=2)
     parser.add_argument(
         "--repeats", type=int, default=None,
         help="timed repeats per configuration (best-of); default 3, 1 with --quick",
@@ -418,7 +288,7 @@ def main(argv=None):
     results = {}
     for name, work in workloads.items():
         print(f"benchmarking {name} ({len(work)} routines) ...", flush=True)
-        results[name] = bench_workload(name, work, symbols, args.jobs, repeats)
+        results[name] = bench_workload(name, work, symbols, repeats)
         r = results[name]
         print(
             f"  serial {r['serial_s']}s  "
@@ -426,30 +296,9 @@ def main(argv=None):
             f"{r['cache'].get('hit_rate', 0):.0%} hits)  "
             f"warm {r['cached_warm_s']}s ({r['cached_warm_speedup']}x)  "
             f"pair p50/p95 {r['pair_latency_warm_p50_us']}/"
-            f"{r['pair_latency_warm_p95_us']}us  "
-            f"parallel[{args.jobs}] {r['parallel_s']}s "
-            f"({r['parallel_speedup']}x)",
+            f"{r['pair_latency_warm_p95_us']}us",
             flush=True,
         )
-        for bname, b in r["backends"].items():
-            print(
-                f"  backend {bname:<9}: cold {b['cold_s']}s "
-                f"(test phase {b['cold_test_phase_s']}s)  "
-                f"warm {b['warm_s']}s  "
-                f"pair p50/p95 {b['pair_latency_warm_p50_us']}/"
-                f"{b['pair_latency_warm_p95_us']}us",
-                flush=True,
-            )
-            cov = b.get("coverage", {})
-            if cov.get("pairs"):
-                print(
-                    f"    coverage: {cov.get('pairs_batched', 0)}"
-                    f"/{cov['pairs']} pair(s) fully batched, "
-                    f"{cov.get('delta:groups_batched', 0)}"
-                    f"/{cov.get('delta:groups', 0)} coupled group(s) "
-                    "pre-run",
-                    flush=True,
-                )
 
     report = {
         "benchmark": "engine",

@@ -11,20 +11,7 @@ the committed ``BENCH_engine.json``.  The check fails when
   ``--latency-tolerance`` (default 1.0, i.e. 2x) — absolute latency is
   machine-dependent, so this is a coarse guard against structural
   regressions (an accidental O(n^2) in the per-pair path), not a tight
-  performance bound,
-* the ``generated`` or ``coupled`` workload carries both backend
-  sections and the batched backend's cold test-phase seconds or warm
-  pair latencies exceed the reference backend's by more than
-  ``--backend-slack`` (default 0.10).  This is the vectorization
-  contract: batching must not lose to the per-pair path on the workloads
-  it is built for — separable-dominated (``generated``) and
-  coupled-group-dominated (``coupled``) alike; the slack absorbs
-  run-to-run noise on the ~50ms measurements,
-* the batched backend reports zero coupled-group batched coverage
-  (``delta:groups_batched``) on the ``generated`` or ``coupled``
-  workload — a silent fall-back of every coupled group to the per-pair
-  walk would otherwise let the timing gates pass while the lock-step
-  pre-run is effectively disabled.
+  performance bound.
 
 With ``--store FRESH_STORE_JSON`` the check also gates the store
 benchmark (``bench_store.py`` vs the committed ``BENCH_store.json``):
@@ -40,14 +27,14 @@ benchmark (``bench_store.py`` vs the committed ``BENCH_store.json``):
 Warm speedup is the sturdiest number in the report for a noisy CI box: it
 is a ratio of two measurements from the same run (machine speed cancels
 out), and it is the figure the caching engine exists to deliver.  Other
-absolute times and cold/parallel ratios vary with runner load and core
-count, so they are reported but not gated on.
+absolute times and cold ratios vary with runner load, so they are
+reported but not gated on.
 
 Usage::
 
     python benchmarks/check_bench_regression.py fresh.json \
         [--baseline BENCH_engine.json] [--tolerance 0.25] \
-        [--latency-tolerance 1.0] [--backend-slack 0.10]
+        [--latency-tolerance 1.0]
 """
 
 from __future__ import annotations
@@ -90,78 +77,6 @@ def check_latencies(
                 f"{name}: {key} {value:.2f}us exceeded {ceiling:.2f}us "
                 f"({latency_tolerance:.0%} over baseline {base_value:.2f}us)"
             )
-
-
-BACKEND_GATED_WORKLOADS = ("generated", "coupled")
-
-
-def check_backends(
-    name: str, current: dict, backend_slack: float, failures
-) -> None:
-    """On a gated workload, batched must not lose to reference.
-
-    Compares the fresh run against itself (both backends measured in the
-    same process moments apart), so machine speed cancels out exactly like
-    the warm-speedup ratio.
-    """
-    backends = current.get("backends", {})
-    batched = backends.get("batched")
-    reference = backends.get("reference")
-    if not batched or not reference:
-        print(f"{name}: backend gate skipped (need both backends)")
-        return
-    gates = [("cold_test_phase_s", "s"), *[(key, "us") for key in LATENCY_KEYS]]
-    for key, unit in gates:
-        ref_value = reference.get(key)
-        value = batched.get(key)
-        if not ref_value or not value:
-            continue
-        ceiling = ref_value * (1.0 + backend_slack)
-        status = "OK" if value <= ceiling else "REGRESSION"
-        print(
-            f"{name}/batched: {key} {value}{unit} vs reference "
-            f"{ref_value}{unit} (ceiling {ceiling:.4f}{unit}) ... {status}"
-        )
-        if value > ceiling:
-            failures.append(
-                f"{name}: batched {key} {value}{unit} exceeded reference "
-                f"{ref_value}{unit} by more than {backend_slack:.0%}"
-            )
-    check_coverage(name, batched, failures)
-
-
-def check_coverage(name: str, batched: dict, failures) -> None:
-    """The batched backend must actually pre-run coupled groups.
-
-    The timing gates can pass even when every coupled group silently
-    falls back to the per-pair Delta walk (separable lanes carry the
-    win), so coverage is gated structurally: on workloads that contain
-    coupled groups, at least one must have completed the lock-step
-    pre-run.
-    """
-    coverage = batched.get("coverage", {})
-    if not coverage.get("pairs"):
-        failures.append(
-            f"{name}: batched backend reported no coverage counters"
-        )
-        return
-    groups = coverage.get("delta:groups", 0)
-    pre_run = coverage.get("delta:groups_batched", 0)
-    status = "OK" if (groups == 0 or pre_run > 0) else "REGRESSION"
-    print(
-        f"{name}/batched: coupled groups {pre_run}/{groups} pre-run "
-        f"... {status}"
-    )
-    if groups and not pre_run:
-        failures.append(
-            f"{name}: batched coupled-group coverage is zero "
-            f"({groups} group(s), none pre-run)"
-        )
-    if name == "coupled" and not groups:
-        failures.append(
-            "coupled: workload produced no coupled groups "
-            "(generator drifted?)"
-        )
 
 
 def check_store(
@@ -209,7 +124,6 @@ def check(
     baseline: dict,
     tolerance: float,
     latency_tolerance: float = 1.0,
-    backend_slack: float = 0.10,
     store_fresh: dict = None,
     store_baseline: dict = None,
     store_tolerance: float = 0.5,
@@ -241,10 +155,6 @@ def check(
                 f"{floor:.2f}x ({tolerance:.0%} under baseline "
                 f"{base_warm:.2f}x)"
             )
-    for name in BACKEND_GATED_WORKLOADS:
-        current = fresh.get("workloads", {}).get(name)
-        if current is not None:
-            check_backends(name, current, backend_slack, failures)
     if failures:
         print()
         for failure in failures:
@@ -276,11 +186,6 @@ def main(argv=None) -> int:
              "(default 1.0, i.e. up to 2x)",
     )
     parser.add_argument(
-        "--backend-slack", type=float, default=0.10,
-        help="how far the batched backend may trail the reference backend "
-             "on the generated workload (default 0.10)",
-    )
-    parser.add_argument(
         "--store", type=Path, default=None, metavar="JSON",
         help="freshly generated store bench JSON; enables the store gate",
     )
@@ -303,7 +208,6 @@ def main(argv=None) -> int:
         load(args.baseline) if args.fresh else {},
         args.tolerance,
         args.latency_tolerance,
-        args.backend_slack,
         store_fresh=load(args.store) if args.store else None,
         store_baseline=load(args.store_baseline) if args.store else None,
         store_tolerance=args.store_tolerance,

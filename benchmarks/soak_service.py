@@ -6,13 +6,10 @@ End-to-end check of the analysis service's robustness contract
 
 * ``reject-store:1``   — the first store write fails (store detaches,
   the store breaker trips, a half-open probe must reattach it);
-* ``crash-chunk:0``    — every parallel build loses a worker on its
-  first chunk (supervised recovery; the pool breaker trips to
-  all-serial and must recover);
 * ``slow-handler``     — every handler holds its slot long enough that
   admission control and coalescing actually engage;
-* ``pair-delay``       — serial pair resolves are slow enough that
-  tight deadlines expire *mid-analysis*.
+* ``pair-delay``       — pair resolves are slow enough that tight
+  deadlines expire *mid-analysis*.
 
 Against it the harness drives concurrent clients: a coalesce burst of
 identical requests, a shed burst past the admission bounds, and a band
@@ -25,7 +22,7 @@ oracle computed in-process with the same library code:
   never more independence, never a loop declared parallel that the
   oracle calls serial.
 
-Then: both breakers must recover to ``closed`` (store reattached), the
+Then: the store breaker must recover to ``closed`` (store reattached), the
 stats endpoint must show nonzero coalesced requests and exactly the
 sheds the clients observed, SIGTERM must drain the in-flight request
 and exit 0, a restarted server over the same store must answer the
@@ -68,32 +65,6 @@ from repro.transform.parallel import find_parallel_loops  # noqa: E402
 HOST = "127.0.0.1"
 
 
-def make_pool_kernel(i: int) -> str:
-    """A kernel heavy enough that ``--jobs 2`` actually dispatches.
-
-    The parallel builder runs tiny routines serially in-process (the
-    adaptive auto-serial fallback), so the pool-crash phase needs real
-    weight: 8 statements of *coupled* 2-D subscripts — every pair is a
-    Delta-test candidate, pushing the predicted cost past the dispatch
-    threshold.  Distinct offsets per kernel index (and per statement)
-    keep every pair canonically unique, so nothing is served from cache.
-    """
-    o = 11 * i
-    lines = [
-        f"      subroutine pool{i}(a, n)",
-        "      integer n",
-        "      real a(200, 200)",
-        "      do 10 j = 2, n",
-    ]
-    for s in range(8):
-        lines.append(
-            f"         a(j+{s + o}, j+{s + o + 9}) = "
-            f"a(j+{2 * s + o + 1}, j) + a(j, j+{3 * s + o + 2})"
-        )
-    lines += [" 10   continue", "      end", ""]
-    return "\n".join(lines)
-
-
 def make_kernel(i: int) -> str:
     """Kernel ``i``: canonically distinct subscript shapes per index.
 
@@ -121,10 +92,10 @@ def make_kernel(i: int) -> str:
 
 def oracle_routines(source: str) -> list:
     """The reference routines payload, computed with the same library
-    code the server runs (serial, no faults, fresh engine)."""
+    code the server runs (no faults, fresh engine)."""
     symbols = default_symbols()
     program = normalize_program(parse_program(source, name="oracle"))
-    engine = DependenceEngine(symbols=symbols, jobs=1)
+    engine = DependenceEngine(symbols=symbols)
     try:
         out = []
         for routine in program.routines:
@@ -317,17 +288,16 @@ def main(argv=None) -> int:
                         help="injected per-pair delay (seconds)")
     args = parser.parse_args(argv)
 
-    # Indices 0-19: small kernels (serial under the adaptive fallback);
-    # indices 20-22: pool-heavy kernels for the worker-crash phase.
-    kernels = [make_kernel(i) for i in range(20)]
-    kernels += [make_pool_kernel(i) for i in range(3)]
+    # Indices 0-19 serve the load phases; 20-22 are fresh kernels for
+    # the store-fault phase.
+    kernels = [make_kernel(i) for i in range(23)]
     print(f"computing oracle graphs for {len(kernels)} kernels ...")
     oracles = [oracle_routines(src) for src in kernels]
 
     faults = (
         f"slow-handler:{args.slow:g}:500,"
         f"pair-delay:{args.pair_delay:g},"
-        "reject-store:1,crash-chunk:0"
+        "reject-store:1"
     )
     failures: list = []
     observed_503 = 0
@@ -337,7 +307,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp) / "soak.db"
         proc, port = start_server(
-            ["--jobs", "2", "--store", str(db),
+            ["--store", str(db),
              "--max-in-flight", "2", "--queue-depth", "2",
              "--breaker-reset", "1.0"],
             faults=faults,
@@ -364,10 +334,9 @@ def main(argv=None) -> int:
             return status, payload
 
         try:
-            # Phase 1 — pool chaos: three pool-heavy fresh kernels, each
-            # parallel build loses a worker (crash-chunk:0); the first
+            # Phase 1 — store fault: three fresh kernels; the first
             # store write is rejected, detaching the store.
-            print("phase 1: pool + store faults on fresh kernels")
+            print("phase 1: store fault on fresh kernels")
             for i in range(3):
                 request("phase1", 20 + i)
 
@@ -402,29 +371,25 @@ def main(argv=None) -> int:
                 request("deadline", 11 + t, deadline_ms=30)
 
             # Phase 3 — recovery: warm requests trigger the half-open
-            # probes; both breakers must close and the store reattach.
+            # probe; the breaker must close and the store reattach.
             print("phase 3: breaker recovery")
             recovered = False
             for _ in range(40):
                 request("recovery", 0)
                 _, health = get_json(port, "/healthz")
-                store_ok = (
+                if (
                     health["store"]["mode"] == "attached"
                     and health["store"]["breaker"]["state"] == "closed"
-                )
-                pool_ok = health["pool"]["breaker"]["state"] == "closed"
-                if store_ok and pool_ok:
+                ):
                     recovered = True
                     break
                 time.sleep(0.3)
             if not recovered:
                 _, health = get_json(port, "/healthz")
-                failures.append(f"breakers never recovered: {health}")
+                failures.append(f"store breaker never recovered: {health}")
             else:
                 print(f"  store breaker trips: "
-                      f"{health['store']['breaker']['trips']}, "
-                      f"pool breaker trips: "
-                      f"{health['pool']['breaker']['trips']} — both closed")
+                      f"{health['store']['breaker']['trips']} — closed")
 
             # Phase 4 — accounting.
             _, stats = get_json(port, "/stats")
@@ -442,8 +407,8 @@ def main(argv=None) -> int:
             if svc["ok"] < 1 or svc["degraded"] < 1:
                 failures.append(f"expected both ok and degraded traffic: {svc}")
 
-            # Phase 5 — baseline for the restart comparison (warm, both
-            # breakers closed: must be a complete answer).
+            # Phase 5 — baseline for the restart comparison (warm, the
+            # breaker closed: must be a complete answer).
             out = request("baseline", 0)
             baseline = None
             if out and out[0] == 200 and not out[1].get("degraded"):
@@ -493,15 +458,13 @@ def main(argv=None) -> int:
         print(f"failure kinds absorbed: {sorted(kinds)}")
         if "store" not in kinds:
             failures.append("injected store failure never surfaced")
-        if not kinds & {"worker-crash", "chunk-timeout"}:
-            failures.append("injected pool crash never surfaced")
         if "deadline" not in kinds:
             failures.append("tight deadlines never produced a deadline record")
 
         # Phase 7 — restart over the same store; the re-query must match
         # the pre-shutdown baseline graph byte-for-byte.
         print("phase 7: restart and re-query")
-        proc2, port2 = start_server(["--jobs", "2", "--store", str(db)])
+        proc2, port2 = start_server(["--store", str(db)])
         try:
             status, payload = post_analyze(port2, {
                 "source": kernels[0], "name": "soak0",

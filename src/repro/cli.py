@@ -42,7 +42,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.backends import backend_names
 from repro.corpus.loader import (
     available_programs,
     available_suites,
@@ -97,16 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--counts", action="store_true", help="print per-test application counts"
     )
     analyze.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="test reference pairs over N worker processes (default 1)",
-    )
-    analyze.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
-    )
-    analyze.add_argument(
         "--no-cache", action="store_true",
         help="disable the canonical-pair verdict cache",
     )
@@ -138,16 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     study = sub.add_parser("study", help="regenerate the paper's tables")
     study.add_argument("--table", type=int, choices=(1, 2, 3), default=None)
     study.add_argument("--suite", action="append", default=None)
-    study.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="test reference pairs over N worker processes (default 1)",
-    )
-    study.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
-    )
     study.add_argument(
         "--strict", action="store_true",
         help="abort on the first engine fault instead of skipping the "
@@ -182,14 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument(
         "--port", type=int, default=0, metavar="PORT",
         help="bind port; 0 picks an ephemeral one and prints it (default 0)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for large builds (default 1)",
-    )
-    serve.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend (default: $REPRO_BACKEND or 'reference')",
     )
     serve.add_argument(
         "--store", type=Path, default=None, metavar="PATH",
@@ -257,16 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "each routine once per content version (incremental, resumable)"
     )
     corpus_run.add_argument("tree", type=Path)
-    corpus_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="test reference pairs over N worker processes (default 1)",
-    )
-    corpus_run.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
-    )
     corpus_run.add_argument(
         "--strict", action="store_true",
         help="abort on the first engine fault instead of quarantining the "
@@ -535,20 +496,18 @@ def _analyze(args: argparse.Namespace) -> int:
             return EXIT_STORE_ERROR
         checkpoint = _attach_checkpoint(
             store,
-            run_token("analyze", source, str(args.jobs)),
+            run_token("analyze", source),
             f"analyze:{args.file.name}",
             args.resume,
         )
     symbols = default_symbols()
     engine = DependenceEngine(
         symbols=symbols,
-        jobs=max(args.jobs, 1),
         use_cache=not args.no_cache,
         profile=args.profile,
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
         checkpoint=checkpoint,
-        backend=args.backend,
     )
     recorder = TestRecorder()
     try:
@@ -604,9 +563,6 @@ def _analyze(args: argparse.Namespace) -> int:
             print(engine.stats)
     if args.profile and engine.profile is not None:
         print(engine.profile)
-        coverage = engine.stats.coverage_report()
-        if coverage:
-            print(coverage)
     if engine.stats.degraded:
         print(engine.stats.failure_report())
     return 0
@@ -616,7 +572,6 @@ def _study(args: argparse.Namespace) -> int:
     from repro.study.report import full_report
     from repro.study.tables import render_table1, render_table2, render_table3
 
-    jobs = max(args.jobs, 1)
     if args.table == 1:
         print(render_table1())
         return 0
@@ -631,29 +586,27 @@ def _study(args: argparse.Namespace) -> int:
         suites = sorted(args.suite) if args.suite else ["<all>"]
         checkpoint = _attach_checkpoint(
             store,
-            run_token("study", args.table, *suites, str(jobs)),
+            run_token("study", args.table, *suites),
             f"study:table{args.table or 'all'}",
             args.resume,
         )
     engine = DependenceEngine(
         symbols=default_symbols(),
-        jobs=jobs,
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
         checkpoint=checkpoint,
-        backend=args.backend,
     )
     try:
         with engine:
             if args.table == 3:
                 from repro.study.tables import table3
 
-                print(render_table3(table3(args.suite, jobs=jobs, engine=engine)))
+                print(render_table3(table3(args.suite, engine=engine)))
                 if engine.stats.degraded:
                     print()
                     print(engine.stats.failure_report())
             else:
-                print(full_report(args.suite, jobs=jobs, engine=engine))
+                print(full_report(args.suite, engine=engine))
     except EngineFaultError as exc:
         return _strict_abort(exc)
     finally:
@@ -671,8 +624,6 @@ def _serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        jobs=max(args.jobs, 1),
-        backend=args.backend,
         store_path=args.store,
         store_shards=args.store_shards,
         max_in_flight=args.max_in_flight,
@@ -685,8 +636,7 @@ def _serve(args: argparse.Namespace) -> int:
     def banner(service) -> None:
         print(
             f"repro-deps: serving on http://{config.host}:{service.port} "
-            f"(jobs={config.jobs}, "
-            f"store={config.store_path or 'none'})",
+            f"(store={config.store_path or 'none'})",
             flush=True,
         )
 
@@ -772,10 +722,8 @@ def _corpus_run(args: argparse.Namespace) -> int:
             return EXIT_STORE_ERROR
     engine = DependenceEngine(
         symbols=default_symbols(),
-        jobs=max(args.jobs, 1),
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
-        backend=args.backend,
     )
     runner = StreamingCorpusRunner(
         tree,

@@ -131,7 +131,6 @@ def test_dependence(
     plan_recorder: Optional[PlanRecorder] = None,
     profile=None,
     budget=None,
-    dispatcher=None,
 ) -> DependenceResult:
     """Run the full partition-based algorithm on one ordered reference pair.
 
@@ -147,14 +146,6 @@ def test_dependence(
     one unit is charged per partition dispatch and the Delta test charges
     per reduction pass, so a pathological pair raises
     ``BudgetExceededError`` instead of monopolizing the process.
-
-    ``dispatcher`` overrides the per-partition classify-and-test step: a
-    callable with the signature of :func:`default_dispatch` that may serve
-    a precomputed outcome for a partition (the batched backend's hook) and
-    must fall back to :func:`default_dispatch` otherwise.  Everything else
-    — budget charging, plan recording, constraint merging, early exit — is
-    unaffected, so a dispatcher that returns the outcomes the default
-    dispatch would produce yields byte-identical results.
     """
     if src_site.ref.array != sink_site.ref.array:
         raise ValueError(
@@ -185,12 +176,7 @@ def test_dependence(
     for pairs, positions, action in schedule:
         if budget is not None:
             budget.spend(1)
-        if dispatcher is not None:
-            outcome, action = dispatcher(
-                pairs, positions, action, context, recorder, delta_options,
-                profile, budget,
-            )
-        elif action is None:
+        if action is None:
             outcome, action = _dispatch(
                 pairs, context, recorder, delta_options, profile, budget
             )
@@ -221,30 +207,6 @@ def test_dependence(
         # happen, but couplings can empty the vector set).
         result.independent = True
     return result
-
-
-def default_dispatch(
-    pairs: List[SubscriptPair],
-    positions: Tuple[int, ...],
-    action: Optional[PlanAction],
-    context: PairContext,
-    recorder: Optional[TestRecorder],
-    delta_options: DeltaOptions,
-    profile,
-    budget=None,
-) -> Tuple[TestOutcome, PlanAction]:
-    """The driver's own per-partition step, in the ``dispatcher`` signature.
-
-    Custom dispatchers (see :func:`test_dependence`) delegate here for any
-    partition they have no precomputed outcome for; ``action`` is the plan
-    action being replayed, or None when the schedule was derived fresh.
-    """
-    if action is None:
-        return _dispatch(pairs, context, recorder, delta_options, profile, budget)
-    return (
-        _replay(action, pairs, context, recorder, delta_options, profile, budget),
-        action,
-    )
 
 
 def _timed(profile, tier: str, func, *args):

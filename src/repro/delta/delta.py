@@ -18,18 +18,10 @@ Algorithm (the paper's Figure 3):
 Each subscript is fully tested at most once per reduction, so the test is
 linear in the number of subscripts (Section 5.4).
 
-Step 1 is structured as discrete *rounds*: each reduction pass first
-collects every pending ZIV/SIV subscript together with the round's
-(possibly range-tightened) context, then evaluates all of them, then
-applies the outcomes sequentially — recording, constraint intersection,
-early exit.  The round context is computed once at collection time, so
-every subscript of a round is tested against the same ranges and the
-evaluation order within a round cannot matter.  That makes the evaluation
-step pluggable: :meth:`_DeltaState.run` accepts an ``evaluate`` callable
-(and :meth:`_DeltaState.rounds` exposes the same protocol as a generator),
-which the batched backend uses to evaluate one round's tests for *many*
-coupled groups as a single vectorized pass.  The default evaluator calls
-``ziv_test``/``siv_test`` per subscript, exactly as before.
+Within one reduction pass, step 1 tests every pending ZIV/SIV subscript
+against the context as it stood at the start of the pass, then applies
+the outcomes in order (recording, constraint intersection, early exit),
+so the order of tests within a pass cannot change the answer.
 """
 
 from __future__ import annotations
@@ -102,7 +94,6 @@ def delta_test(
     recorder: Optional[TestRecorder] = None,
     options: DeltaOptions = DEFAULT_OPTIONS,
     budget=None,
-    evaluate=None,
 ) -> TestOutcome:
     """Run the Delta test on one minimal coupled group.
 
@@ -110,56 +101,53 @@ def delta_test(
     summarize the group; independence is reported as soon as any constraint
     intersection empties or any inner test refutes the group.  ``budget``
     is an optional step allowance (anything with ``spend(n)``): each
-    reduction pass charges one unit per pending subscript, bounding the
-    multipass loop on pathological systems.
+    reduction pass charges one unit plus one per pending subscript,
+    bounding the multipass loop on pathological systems.
 
-    ``evaluate`` overrides the per-round ZIV/SIV evaluation: a callable
-    ``evaluate(tests, ctx) -> List[TestOutcome]`` receiving the round's
-    ``(pair, kind)`` requests and shared context.  It must return the
-    outcomes ``ziv_test``/``siv_test`` would produce for each request
-    (typically serving most of them from a vectorized batch).
+    The final range-tightening pass can itself empty an index range — a
+    proof of independence discovered while *reporting* the constraints —
+    so computing the final context takes part in the independence
+    decision.
     """
-    state = delta_prepare(pairs, context, recorder, options, budget)
-    return delta_finalize(state, recorder, state.run(evaluate))
-
-
-def delta_prepare(
-    pairs: List[SubscriptPair],
-    context: PairContext,
-    recorder: Optional[TestRecorder] = None,
-    options: DeltaOptions = DEFAULT_OPTIONS,
-    budget=None,
-) -> "_DeltaState":
-    """Build the working state for one coupled group (``delta_test``'s
-    prologue, shared with the batched backend's lock-step group runner)."""
     state = _DeltaState(context, recorder, options, budget)
     for pair in pairs:
         if pair.is_linear:
             state.pending.append(normalize_pair(pair, context))
         else:
             state.opaque.append(pair)
-    return state
-
-
-def delta_finalize(
-    state: "_DeltaState",
-    recorder: Optional[TestRecorder],
-    independent: bool,
-) -> TestOutcome:
-    """Build (and record) the final ``"delta"`` outcome from a finished run.
-
-    The final range-tightening pass can itself empty an index range — a
-    proof of independence discovered while *reporting* the constraints —
-    so the context computation participates in the independence decision
-    rather than escaping as control flow.
-    """
-    final_context = None
-    if not independent:
-        try:
-            final_context = state.current_context()
-        except _Independent:
-            independent = True
-    if independent:
+            state.exact = False
+    try:
+        while True:
+            state.passes += 1
+            if budget is not None:
+                budget.spend(1 + len(state.pending))
+            ctx = state.current_context()
+            tests: List[Tuple[SubscriptPair, SubscriptKind]] = []
+            remaining: List[SubscriptPair] = []
+            for pair in state.pending:
+                kind = classify(pair, context)
+                if kind is SubscriptKind.ZIV or kind.is_siv:
+                    tests.append((pair, kind))
+                else:
+                    remaining.append(pair)
+            outcomes = [
+                ziv_test(pair, ctx)
+                if kind is SubscriptKind.ZIV
+                else siv_test(pair, ctx)
+                for pair, kind in tests
+            ]
+            state.pending = remaining
+            state.apply_outcomes(tests, outcomes)
+            if not state.pending:
+                break
+            changed = state.rdiv_pass()
+            if options.propagate and state.propagate_pass():
+                changed = True
+            if not changed or not options.multipass:
+                break
+        state.finish_miv()
+        final_context = state.current_context()
+    except _Independent:
         return maybe_record(
             recorder, TestOutcome.proves_independence(TEST_NAME, exact=state.exact)
         )
@@ -213,118 +201,22 @@ class _DeltaState:
     def _invalidate_context(self) -> None:
         self._tight_context = None
 
-    # -- main loop -------------------------------------------------------
+    # -- step 1: ZIV/SIV constraint intersection ------------------------------
 
-    def run(self, evaluate=None) -> bool:
-        """Execute the reduction loop; True means independence was proven.
-
-        ``evaluate`` overrides the per-round ZIV/SIV evaluation (see
-        :func:`delta_test`); the default evaluator applies the single
-        tests one subscript at a time.
-        """
-        rounds = self.rounds()
-        try:
-            request = rounds.send(None)
-            while True:
-                tests, ctx = request
-                if evaluate is None:
-                    outcomes = self.evaluate_direct(tests, ctx)
-                else:
-                    outcomes = evaluate(tests, ctx)
-                request = rounds.send(outcomes)
-        except StopIteration as stop:
-            return bool(stop.value)
-
-    def rounds(self):
-        """Generator protocol behind :meth:`run`: the lock-step seam.
-
-        Yields one ``(tests, ctx)`` request per reduction pass — the
-        round's pending ZIV/SIV subscripts as ``(pair, kind)`` tuples and
-        the round-start (tightened) context every one of them is tested
-        against — and expects the matching outcome list back via
-        ``send``.  Constraint intersection, propagation, RDIV handling,
-        and the residual-MIV sweep all run inside the generator between
-        rounds; the ``StopIteration`` value is True when independence was
-        proven.  The batched backend drives many groups' generators in
-        lock step, answering each round of requests with one vectorized
-        evaluation across all of them.
-        """
-        if self.opaque:
-            self.exact = False
-        try:
-            while True:
-                self.passes += 1
-                if self.budget is not None:
-                    self.budget.spend(1 + len(self.pending))
-                tests, remaining, ctx = self._collect_round()
-                outcomes = yield (tests, ctx)
-                self.pending = remaining
-                decided = self._apply_round(tests, outcomes)
-                if decided is not None:
-                    return decided
-                if not self.pending:
-                    break
-                changed = self._rdiv_pass()
-                if self.options.propagate and self._propagate_pass():
-                    changed = True
-                if not changed or not self.options.multipass:
-                    break
-            return self._finish_miv()
-        except _Independent:
-            return True
-
-    # -- step 1: ZIV/SIV testing and constraint intersection ---------------
-
-    def _collect_round(
-        self,
-    ) -> Tuple[
-        List[Tuple[SubscriptPair, SubscriptKind]],
-        List[SubscriptPair],
-        PairContext,
-    ]:
-        """Split pending subscripts into this round's ZIV/SIV test requests
-        and the remaining (MIV/RDIV) subscripts; the round context is
-        derived once, so every request is evaluated against the same
-        ranges."""
-        ctx = self.current_context()
-        tests: List[Tuple[SubscriptPair, SubscriptKind]] = []
-        remaining: List[SubscriptPair] = []
-        for pair in self.pending:
-            kind = classify(pair, self.context)
-            if kind is SubscriptKind.ZIV or kind.is_siv:
-                tests.append((pair, kind))
-            else:
-                remaining.append(pair)
-        return tests, remaining, ctx
-
-    def evaluate_direct(
-        self,
-        tests: List[Tuple[SubscriptPair, SubscriptKind]],
-        ctx: PairContext,
-    ) -> List[TestOutcome]:
-        """The reference evaluator: one ``ziv_test``/``siv_test`` per request."""
-        return [
-            ziv_test(pair, ctx)
-            if kind is SubscriptKind.ZIV
-            else siv_test(pair, ctx)
-            for pair, kind in tests
-        ]
-
-    def _apply_round(
+    def apply_outcomes(
         self,
         tests: List[Tuple[SubscriptPair, SubscriptKind]],
         outcomes: List[TestOutcome],
-    ) -> Optional[bool]:
-        """Record outcomes and intersect constraints in request order.
+    ) -> None:
+        """Record outcomes and intersect constraints in test order.
 
-        Early exits discard the rest of the round unrecorded, so the
-        recorder sees exactly the prefix a sequential run would have
-        evaluated.
+        Raises :class:`_Independent` at the first refuting outcome or
+        empty intersection; the rest of the pass goes unrecorded.
         """
         for (pair, kind), outcome in zip(tests, outcomes):
             outcome = maybe_record(self.recorder, outcome)
             if outcome.independent:
-                return True
+                raise _Independent()
             if not outcome.exact:
                 self.exact = False
             if kind is SubscriptKind.ZIV:
@@ -336,10 +228,9 @@ class _DeltaState:
             merged = self.constraints.get(base, TOP).intersect(constraint)
             merged = self._validate_against_ranges(base, merged)
             if isinstance(merged, EmptyConstraint):
-                return True
+                raise _Independent()
             self.constraints[base] = merged
             self._invalidate_context()
-        return None
 
     def _validate_against_ranges(self, base: str, constraint: Constraint) -> Constraint:
         """Refute a point constraint whose coordinates leave the loop bounds.
@@ -366,7 +257,7 @@ class _DeltaState:
 
     # -- step 3: RDIV handling ---------------------------------------------
 
-    def _rdiv_pass(self) -> bool:
+    def rdiv_pass(self) -> bool:
         rdiv_pairs: List[Tuple[SubscriptPair, SIVShape]] = []
         others: List[SubscriptPair] = []
         for pair in self.pending:
@@ -456,7 +347,7 @@ class _DeltaState:
 
     # -- step 2: constraint propagation -------------------------------------
 
-    def _propagate_pass(self) -> bool:
+    def propagate_pass(self) -> bool:
         substitutions: Dict[str, LinearExpr] = {}
         for base, constraint in self.constraints.items():
             substitutions.update(
@@ -476,7 +367,9 @@ class _DeltaState:
 
     # -- step 4: residual MIV subscripts -------------------------------------
 
-    def _finish_miv(self) -> bool:
+    def finish_miv(self) -> None:
+        """Banerjee-GCD on every residual subscript; raises
+        :class:`_Independent` when one refutes the group."""
         for pair in self.pending:
             if self.budget is not None:
                 self.budget.spend(1)
@@ -484,10 +377,9 @@ class _DeltaState:
                 self.recorder, banerjee_gcd_test(pair, self.current_context())
             )
             if outcome.independent:
-                return True
+                raise _Independent()
             self.exact = False  # Banerjee answers are conservative
             self.couplings.extend(outcome.couplings)
-        return False
 
 
 class _Independent(Exception):

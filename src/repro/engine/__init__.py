@@ -2,8 +2,7 @@
 
 The paper's empirical observation — real programs are dominated by a small
 number of structurally identical subscript shapes — makes corpus-wide
-dependence testing an ideal memoization target, and the pair population is
-embarrassingly parallel.  This package exploits both:
+dependence testing an ideal memoization target.  This package exploits it:
 
 * :mod:`repro.engine.canonical` — alpha-renames a
   :class:`~repro.classify.pairs.PairContext` into a hashable *canonical
@@ -15,22 +14,13 @@ embarrassingly parallel.  This package exploits both:
   with hit/miss/eviction counters in an :class:`EngineStats`, plus a
   second tier of precompiled :class:`~repro.core.plan.TestPlan` dispatch
   schedules replayed on verdict misses;
-* :mod:`repro.engine.parallel` — a process-pool graph builder with
-  adaptive dispatch: per-pair cost estimates size the chunks, and small or
-  cheap builds stay in-process; one representative per canonical key is
-  tested in the workers, and per-worker
-  :class:`~repro.instrument.TestRecorder` counters merge losslessly;
 * :mod:`repro.engine.profile` — opt-in per-phase and per-test-tier wall
   timing (:class:`PhaseProfile`), surfaced by ``repro-deps analyze
   --profile``;
 * :mod:`repro.engine.faults` — the fault taxonomy
-  (:class:`PairTestError`, :class:`WorkerCrashError`,
-  :class:`BudgetExceededError`, …), the per-pair :class:`StepBudget`, the
-  structured :class:`FailureRecord`, and the :class:`FaultPolicy` knobs
-  (strict vs. degrade, budgets, timeouts, restart bounds);
-* :mod:`repro.engine.supervisor` — :class:`PoolSupervisor`, which wraps
-  chunk dispatch so worker crashes and hangs respawn the pool (bounded)
-  and re-run suspect chunks serially in the parent;
+  (:class:`PairTestError`, :class:`BudgetExceededError`, …), the per-pair
+  :class:`StepBudget`, the structured :class:`FailureRecord`, and the
+  :class:`FaultPolicy` knobs (strict vs. degrade, budgets);
 * :mod:`repro.engine.faultinject` — the deterministic fault-injection
   harness behind the ``REPRO_FAULTS`` environment hook (test-only);
 * :mod:`repro.engine.store` — :class:`VerdictStore`, a crash-safe
@@ -41,17 +31,17 @@ embarrassingly parallel.  This package exploits both:
   persistent third cache tier, with :func:`migrate_store` upgrading
   legacy v1 single-file stores;
 * :mod:`repro.engine.checkpoint` — :class:`CheckpointLog` and
-  :func:`run_token`: durable completed-chunk/routine markers over the
-  store, so ``repro-deps ... --store s.db --resume`` continues a killed
-  run from its last fsync'd checkpoint;
+  :func:`run_token`: durable completed-routine markers over the store,
+  so ``repro-deps ... --store s.db --resume`` continues a killed run
+  from its last fsync'd checkpoint;
 * :mod:`repro.engine.engine` — the :class:`DependenceEngine` facade the
   CLI, the study harness, and the benchmarks drive.
 
-All three builders (serial, cached, parallel) produce byte-identical
-dependence graphs and recorder statistics; ``tests/test_engine.py`` holds
-the parity property tests.  Failures never change a verdict from
-dependent to independent: any absorbed fault degrades the affected pair
-to a conservative assumed-dependence edge (``tests/test_faults.py``).
+The uncached and cached builds produce byte-identical dependence graphs
+and recorder statistics; ``tests/test_engine.py`` holds the parity
+property tests.  Failures never change a verdict from dependent to
+independent: any absorbed fault degrades the affected pair to a
+conservative assumed-dependence edge (``tests/test_faults.py``).
 """
 
 from repro.engine.canonical import (
@@ -66,7 +56,6 @@ from repro.engine.checkpoint import CheckpointLog, run_token
 from repro.engine.engine import DependenceEngine
 from repro.engine.faults import (
     BudgetExceededError,
-    ChunkTimeoutError,
     Deadline,
     DeadlineExceededError,
     EngineFaultError,
@@ -74,11 +63,6 @@ from repro.engine.faults import (
     FaultPolicy,
     PairTestError,
     StepBudget,
-    WorkerCrashError,
-)
-from repro.engine.parallel import (
-    build_dependence_graph_parallel,
-    estimate_pair_cost,
 )
 from repro.engine.profile import PhaseProfile
 from repro.engine.stats import EngineStats
@@ -92,14 +76,12 @@ from repro.engine.store import (
     VerdictStore,
     migrate_store,
 )
-from repro.engine.supervisor import PoolSupervisor
 
 __all__ = [
     "BudgetExceededError",
     "CacheEntry",
     "CachedDriver",
     "CheckpointLog",
-    "ChunkTimeoutError",
     "Deadline",
     "DeadlineExceededError",
     "DependenceEngine",
@@ -109,7 +91,6 @@ __all__ = [
     "FaultPolicy",
     "PairTestError",
     "PhaseProfile",
-    "PoolSupervisor",
     "StepBudget",
     "DEFAULT_SHARDS",
     "CompactionResult",
@@ -119,11 +100,8 @@ __all__ = [
     "StoreReport",
     "VerdictStore",
     "migrate_store",
-    "WorkerCrashError",
-    "build_dependence_graph_parallel",
     "canonical_pair_key",
     "canonicalize_result",
-    "estimate_pair_cost",
     "rehydrate_result",
     "rename_map",
     "run_token",

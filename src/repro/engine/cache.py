@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
 
-from repro.backends import BatchItem, TestBackend, get_backend
 from repro.classify.pairs import PairContext
 from repro.core.driver import (
     DependenceResult,
     assumed_dependence_result,
+    test_dependence,
 )
 from repro.core.plan import PlanRecorder, TestPlan
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions
@@ -98,9 +98,7 @@ _PAIR_MEMO: Dict[Tuple, Tuple[PairContext, Dict[str, str], CanonicalKey]] = {}
 class CachedDriver:
     """Memoizing dependence tester with an LRU eviction policy.
 
-    Usable directly as ``tester=`` for the serial graph builder, and as
-    the shared verdict store of the parallel builder (which seeds it with
-    worker-produced entries).
+    Usable directly as ``tester=`` for the graph builder.
     """
 
     def __init__(
@@ -112,7 +110,6 @@ class CachedDriver:
         plan_capacity: Optional[int] = None,
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
-        backend: Union[TestBackend, str, None] = None,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
@@ -127,10 +124,6 @@ class CachedDriver:
         self.plan_capacity = plan_capacity
         self.delta_options = delta_options
         self.policy = policy
-        if isinstance(backend, str) or backend is None:
-            backend = get_backend(backend)
-        #: The test evaluator serving every miss; see ``repro.backends``.
-        self.backend = backend
         self.stats = stats if stats is not None else EngineStats()
         #: Request-scoped wall-clock expiry (installed by the analysis
         #: service around each request's builds, under the engine's serve
@@ -148,12 +141,6 @@ class CachedDriver:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def contains(self, key: CanonicalKey) -> bool:
-        """True when ``key`` is resident in any tier (LRU order untouched)."""
-        if key in self._entries:
-            return True
-        return self.persist is not None and self.persist.contains(key)
 
     def lookup(self, key: CanonicalKey) -> Optional[CacheEntry]:
         """Fetch an entry, memory tier first, then the persistent store.
@@ -250,18 +237,6 @@ class CachedDriver:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
-    def seed(self, key: CanonicalKey, entry: CacheEntry) -> None:
-        """Adopt a worker-produced entry without counting a miss.
-
-        Write-through: seeded entries are the parallel builder's test
-        results, so they persist like any miss fill (making per-chunk
-        progress durable for checkpointed runs).
-        """
-        if key not in self._entries:
-            self.stats.seeded += 1
-        self.store(key, entry)
-        self._persist_entry(key, entry)
-
     def clear(self) -> None:
         """Drop every verdict and plan (counters kept; see ``stats.reset``)."""
         self._entries.clear()
@@ -304,8 +279,7 @@ class CachedDriver:
         Without a deadline this is the policy budget (or None when
         budgeting is disabled).  With one, a budget is always minted —
         the deadline is checked on its spend hook — using the default
-        step limit when the policy has none, so the batched backend's
-        shadow-budget pre-run stays bounded too.
+        step limit when the policy has none.
         """
         limit = self.policy.pair_budget
         if self.deadline is None:
@@ -425,33 +399,31 @@ class CachedDriver:
         budget = self._make_budget()
         try:
             # A pair starting after the request deadline has already
-            # expired degrades in O(1): no fault hooks, no backend
-            # dispatch, just the conservative assumed verdict below.
+            # expired degrades in O(1): no fault hooks, no test, just the
+            # conservative assumed verdict below.
             if self.deadline is not None:
                 self.deadline.check()
             faultinject.on_pair(context.src_site.ref.array)
             plan = self.plan_for(key)
+            plan_recorder = None
             if plan is not None:
                 self.stats.plan_hits += 1
-                result = self.backend.run_pair(
-                    context,
-                    recorder=local,
-                    delta_options=self.delta_options,
-                    plan=plan.check(key),
-                    profile=profile,
-                    budget=budget,
-                )
+                plan = plan.check(key)
             else:
                 self.stats.plan_misses += 1
                 plan_recorder = PlanRecorder()
-                result = self.backend.run_pair(
-                    context,
-                    recorder=local,
-                    delta_options=self.delta_options,
-                    plan_recorder=plan_recorder,
-                    profile=profile,
-                    budget=budget,
-                )
+            result = test_dependence(
+                context.src_site,
+                context.sink_site,
+                recorder=local,
+                delta_options=self.delta_options,
+                context=context,
+                plan=plan,
+                plan_recorder=plan_recorder,
+                profile=profile,
+                budget=budget,
+            )
+            if plan_recorder is not None:
                 self.store_plan(key, plan_recorder.compile(key))
         except Exception as exc:
             where = f"{context.src_site.ref} -> {context.sink_site.ref}"
@@ -476,115 +448,6 @@ class CachedDriver:
         if recorder is not None:
             recorder.merge(local)
         return result
-
-    @property
-    def wants_batch(self) -> bool:
-        """True when graph builders should gather pairs for resolve_batch."""
-        return self.backend.batching
-
-    def resolve_batch(
-        self,
-        prepared: Sequence[Tuple[PairContext, Dict[str, str], CanonicalKey]],
-        recorder: Optional[TestRecorder] = None,
-    ) -> List[DependenceResult]:
-        """Resolve many prepared pairs, testing all cache misses as one batch.
-
-        Semantically identical to calling :meth:`resolve` per pair, in
-        order — stats, recorder counters, stored entries, plans, and
-        fault handling all match — but the misses flow to
-        ``backend.run_batch`` together so a batching backend can group
-        them by test class and evaluate each group vectorized.
-
-        Duplicate canonical keys among the misses are deferred and served
-        after the batch fills the cache (a second occurrence of a shape
-        is a hit in per-pair order too); a deferred pair whose
-        representative degraded to an assumed verdict re-tests
-        individually, exactly as the per-pair path would.
-        """
-        profile = self.stats.profile
-        results: List[Optional[DependenceResult]] = [None] * len(prepared)
-        misses: List[int] = []
-        deferred: List[int] = []
-        missed = set()
-        for i, (context, mapping, key) in enumerate(prepared):
-            if key in missed:
-                deferred.append(i)
-                continue
-            entry = self.lookup(key)
-            if entry is None:
-                missed.add(key)
-                misses.append(i)
-                continue
-            if entry.assumed:
-                self.stats.assumed += 1
-            if recorder is not None:
-                recorder.merge(entry.recorder)
-            if profile is None:
-                results[i] = rehydrate_result(entry, context, mapping)
-            else:
-                hit_start = perf_counter()
-                results[i] = rehydrate_result(entry, context, mapping)
-                profile.add_phase("rehydrate", perf_counter() - hit_start)
-        pending: List[Tuple[int, CanonicalKey, BatchItem, Optional[PlanRecorder]]] = []
-        start = perf_counter() if profile is not None else 0.0
-        for i in misses:
-            context, mapping, key = prepared[i]
-            plan = self.plan_for(key)
-            plan_recorder: Optional[PlanRecorder] = None
-            if plan is not None:
-                self.stats.plan_hits += 1
-                plan = plan.check(key)
-            else:
-                self.stats.plan_misses += 1
-                plan_recorder = PlanRecorder()
-            item = BatchItem(
-                context=context,
-                delta_options=self.delta_options,
-                plan=plan,
-                plan_recorder=plan_recorder,
-                profile=profile,
-                budget=self._make_budget(),
-            )
-            pending.append((i, key, item, plan_recorder))
-        if pending:
-            self.backend.run_batch([item for _, _, item, _ in pending])
-            coverage = self.backend.take_coverage()
-            if coverage:
-                self.stats.add_coverage(coverage)
-            if profile is not None:
-                profile.add_phase(
-                    "test", perf_counter() - start, calls=len(pending)
-                )
-        for i, key, item, plan_recorder in pending:
-            context, mapping, _ = prepared[i]
-            if item.error is not None:
-                exc = item.error
-                where = f"{context.src_site.ref} -> {context.sink_site.ref}"
-                if self.policy.strict:
-                    raise PairTestError(where, describe_error(exc)) from exc
-                results[i] = assumed_dependence_result(
-                    context, describe_error(exc)
-                )
-                self.stats.record_failure(
-                    FailureRecord(failure_kind(exc), where, describe_error(exc))
-                )
-                self.stats.assumed += 1
-                if recorder is not None:
-                    recorder.merge(item.recorder)  # reset on error: empty
-                continue
-            if plan_recorder is not None:
-                self.store_plan(key, plan_recorder.compile(key))
-            results[i] = item.result
-            if not item.result.assumed:
-                entry = canonicalize_result(item.result, mapping, item.recorder)
-                self.store(key, entry)
-                self._persist_entry(key, entry)
-            if recorder is not None:
-                recorder.merge(item.recorder)
-        for i in deferred:
-            context, mapping, key = prepared[i]
-            results[i] = self.resolve(context, mapping, key, recorder)
-        return results
 
     def __call__(
         self,

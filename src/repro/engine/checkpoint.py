@@ -5,7 +5,7 @@ pure functions of canonical pair keys (so the store tier replays them
 byte-identically), and every analysis output is rebuilt from verdicts
 cheaply once the tests themselves are skipped.  A *checkpoint* therefore
 never tries to snapshot control flow — it records **progress markers**
-(completed dispatch chunks, completed routines) under a *run token* that
+(completed routines) under a *run token* that
 identifies the input, so a resumed run can prove it is continuing the
 same work and report how far the killed run got, while the store tier
 does the actual heavy lifting of skipping finished tests.
@@ -49,13 +49,14 @@ class CheckpointLog:
     """Progress markers for one run token, backed by a :class:`VerdictStore`.
 
     The engine bumps the *build* counter once per graph build (one per
-    routine), and the parallel builder marks each dispatch chunk as its
-    canonical entries land in the store — both under this log's token, so
-    markers from different inputs sharing a store never collide.  Routine
-    markers work the same way through :meth:`mark_routine` (the CLI and
-    study harness call it after printing each routine's results).
+    routine).  Routine markers go through :meth:`mark_routine` (the CLI
+    and study harness call it after printing each routine's results),
+    under this log's token, so markers from different inputs sharing a
+    store never collide.  Chunk markers (:meth:`mark_chunk`) have no
+    writer left in the engine; stores that hold them still report them
+    on resume.
 
-    Marker writes checkpoint the store eagerly: a marker that says "chunk
+    Marker writes checkpoint the store eagerly: a marker that says "work
     done" must never be durable *before* the verdicts it covers.
     ``VerdictStore`` appends in order and :meth:`~VerdictStore.checkpoint`
     flushes everything buffered, so the ordering holds by construction.

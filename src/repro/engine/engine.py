@@ -1,17 +1,11 @@
 """The :class:`DependenceEngine` facade.
 
-One object owns the policy knobs — caching on/off, worker count, cache
-capacity, Delta options, profiling — and picks the right builder for each
-``build_graph`` call:
-
-* ``jobs <= 1``, cache off → the plain serial builder (baseline);
-* ``jobs <= 1``, cache on → serial builder with the
-  :class:`~repro.engine.cache.CachedDriver` plugged in as its tester;
-* ``jobs > 1`` → the process-pool builder, sharing this engine's driver
-  so the cache stays warm across calls.  Dispatch is adaptive: small or
-  cheap builds stay in-process (see
-  :mod:`~repro.engine.parallel`), and the pool itself is created lazily
-  on the first build that actually ships work.
+One object owns the policy knobs — caching on/off, cache capacity, Delta
+options, profiling, fault policy, the persistent store — and runs the
+graph builder for each ``build_graph`` call: with the cache off it tests
+every pair with the plain driver (the baseline); with the cache on it
+plugs the :class:`~repro.engine.cache.CachedDriver` in as the builder's
+tester.
 
 The engine is long-lived by design: the study harness builds one graph
 per kernel of a corpus through a single engine, so canonical entries
@@ -28,7 +22,6 @@ from repro.engine.cache import DEFAULT_CAPACITY, CachedDriver
 from repro.engine.checkpoint import CheckpointLog
 from repro.engine.faults import DEFAULT_POLICY, Deadline, FaultPolicy
 from repro.engine.store import VerdictStore
-from repro.engine.parallel import build_dependence_graph_parallel, make_pool
 from repro.engine.profile import PhaseProfile
 from repro.engine.stats import EngineStats
 from repro.graph.depgraph import DependenceGraph, build_dependence_graph
@@ -38,30 +31,23 @@ from repro.ir.loop import Node
 
 
 class DependenceEngine:
-    """Configurable front end over the serial, cached, and parallel builders."""
+    """Configurable front end over the uncached and cached graph builds."""
 
     def __init__(
         self,
         symbols: Optional[SymbolEnv] = None,
-        jobs: int = 1,
         cache_size: int = DEFAULT_CAPACITY,
         use_cache: bool = True,
         delta_options: DeltaOptions = DEFAULT_OPTIONS,
-        chunksize: Optional[int] = None,
         plan_capacity: Optional[int] = None,
         profile: bool = False,
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
         checkpoint: Optional[CheckpointLog] = None,
-        backend: Optional[str] = None,
     ):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.symbols = symbols
-        self.jobs = jobs
         self.use_cache = use_cache
-        self.chunksize = chunksize
-        #: Optional resume protocol (chunk/routine markers over ``store``).
+        #: Optional resume protocol (routine markers over ``store``).
         #: The engine *uses* the store and log but does not own them — the
         #: caller that opened the store closes it (``close`` only flushes).
         self.checkpoint = checkpoint
@@ -74,9 +60,7 @@ class DependenceEngine:
             plan_capacity=plan_capacity,
             policy=policy,
             store=store if use_cache else None,
-            backend=backend,
         )
-        self._pool = None
         #: Serializes multi-threaded access to the driver (see
         #: :meth:`serve_build`).  Re-entrant so a locked caller may call
         #: :meth:`build_graph` directly.
@@ -84,12 +68,12 @@ class DependenceEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """The engine's cache/fan-out counters (live, not a snapshot)."""
+        """The engine's cache and fault counters (live, not a snapshot)."""
         return self.driver.stats
 
     @property
     def policy(self) -> FaultPolicy:
-        """The fault policy governing degradation and pool supervision."""
+        """The fault policy governing degradation."""
         return self.driver.policy
 
     @property
@@ -103,15 +87,12 @@ class DependenceEngine:
         return self.driver.persist
 
     def close(self) -> None:
-        """Shut down the worker pool and flush the store (not closing it).
+        """Flush the store (not closing it).
 
         The final flush can itself fail or quarantine shards; the driver
         surfaces those as ``"store"`` failure records (see
         :meth:`CachedDriver.close`) instead of silently dropping them.
         """
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         self.driver.close()
 
     def __enter__(self) -> "DependenceEngine":
@@ -119,21 +100,6 @@ class DependenceEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _pool_factory(self):
-        """Create (and retain for reuse) the worker pool on first dispatch."""
-        if self._pool is None:
-            self._pool = make_pool(
-                self.jobs,
-                self.driver.delta_options,
-                self.policy.pair_budget,
-                self.driver.backend.name,
-            )
-        return self._pool
-
-    def _pool_replaced(self, executor) -> None:
-        """Adopt the pool surviving a supervised recovery (may be None)."""
-        self._pool = executor
 
     def build_graph(
         self,
@@ -151,21 +117,6 @@ class DependenceEngine:
         env = symbols if symbols is not None else self.symbols
         if self.checkpoint is not None:
             self.checkpoint.begin_build()
-        if self.jobs > 1:
-            return build_dependence_graph_parallel(
-                nodes,
-                symbols=env,
-                recorder=recorder,
-                include_input=include_input,
-                jobs=self.jobs,
-                driver=self.driver,
-                chunksize=self.chunksize,
-                dedup=self.use_cache,
-                pool=self._pool,
-                pool_factory=self._pool_factory,
-                pool_replaced=self._pool_replaced,
-                checkpoint=self.checkpoint,
-            )
         if not self.use_cache:
             return build_dependence_graph(
                 nodes,
@@ -207,8 +158,7 @@ class DependenceEngine:
         ``deadline`` is installed on the driver for the duration of this
         build: every per-pair budget minted inside checks it, and each
         pair starting after expiry degrades immediately to an assumed-
-        dependence verdict (kind ``"deadline"``).  Deadlines bound the
-        in-process resolve paths; they do not cross into pool workers.
+        dependence verdict (kind ``"deadline"``).
 
         ``stats`` (when given) receives this build's counter deltas —
         failures, assumed counts, hit/miss provenance — attributed to

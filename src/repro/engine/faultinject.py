@@ -5,15 +5,9 @@ something can be *made* to break on demand.  This module turns the
 ``REPRO_FAULTS`` environment variable into deterministic faults at the
 engine's seams:
 
-* ``crash-chunk:<seq>`` — the worker process handling dispatch chunk
-  ``<seq>`` dies with ``os._exit`` before testing it (simulates an OOM
-  kill / segfault; the parent sees ``BrokenProcessPool``);
-* ``hang-chunk:<seq>[:<seconds>]`` — the worker handling chunk ``<seq>``
-  sleeps (default 30 s) before testing it, tripping the supervisor's
-  chunk timeout;
 * ``pair-error:<array>`` — every dependence test on a pair referencing
   array ``<array>`` raises :class:`InjectedFaultError` (simulates an
-  in-test crash; fires in workers and in-process alike);
+  in-test crash);
 * ``pair-delay:<seconds>`` — every dependence test (the cache-miss
   path) sleeps first, throttling one process relative to another so
   concurrent-writer interleavings become reproducible;
@@ -59,10 +53,7 @@ Terminal directives (``store-die``, ``kill-mid-request``, ``die-file``,
 created immediately before the process dies, so harnesses can assert
 the kill actually fired rather than inferring it from an exit code.
 
-Directives are comma-separated (``REPRO_FAULTS=crash-chunk:0,pair-error:a``).
-Chunk faults are *worker-scoped*: :data:`IN_WORKER` is set by the pool
-initializer, so a chunk re-run serially in the parent — the supervisor's
-recovery path — computes real results instead of re-tripping the fault.
+Directives are comma-separated (``REPRO_FAULTS=pair-error:a,pair-delay:0.01``).
 Parsing is cached per spec string and the unset-env fast path is a single
 dict lookup, so production runs pay nothing.
 """
@@ -71,8 +62,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Set, Union
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -81,15 +72,6 @@ ENV_VAR = "REPRO_FAULTS"
 #: set it per subprocess and assert the marker exists, proving the kill
 #: fired rather than the run merely finishing with a suggestive code.
 MARKER_ENV_VAR = "REPRO_FAULT_MARKER"
-
-#: Default sleep for ``hang-chunk`` directives without an explicit
-#: duration — long enough to trip any sane chunk timeout, short enough
-#: that a leaked sleeping worker cannot stall interpreter shutdown badly.
-DEFAULT_HANG_SECONDS = 30.0
-
-#: True only inside pool worker processes (set by the pool initializer);
-#: chunk-scoped faults check it so parent-side serial recovery is clean.
-IN_WORKER = False
 
 #: A shard selector in a directive: a shard id, ``"meta"``, or None for
 #: "any shard".
@@ -108,8 +90,6 @@ def _parse_shard(arg: str) -> ShardSel:
 class FaultPlan:
     """Parsed form of one ``REPRO_FAULTS`` spec."""
 
-    crash_chunks: FrozenSet[int] = frozenset()
-    hang_chunks: Dict[int, float] = field(default_factory=dict)
     pair_arrays: FrozenSet[str] = frozenset()
     pair_delay: Optional[float] = None
     routines: FrozenSet[str] = frozenset()
@@ -129,9 +109,7 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not (
-            self.crash_chunks
-            or self.hang_chunks
-            or self.pair_arrays
+            self.pair_arrays
             or self.pair_delay is not None
             or self.routines
             or self.store_die is not None
@@ -148,8 +126,6 @@ class FaultPlan:
 
 def parse_spec(spec: str) -> FaultPlan:
     """Parse a ``REPRO_FAULTS`` spec string; unknown directives are ignored."""
-    crash = set()
-    hang: Dict[int, float] = {}
     arrays = set()
     pair_delay: Optional[float] = None
     routines = set()
@@ -172,12 +148,7 @@ def parse_spec(spec: str) -> FaultPlan:
         parts = directive.split(":")
         name, args = parts[0], parts[1:]
         try:
-            if name == "crash-chunk" and args:
-                crash.add(int(args[0]))
-            elif name == "hang-chunk" and args:
-                seconds = float(args[1]) if len(args) > 1 else DEFAULT_HANG_SECONDS
-                hang[int(args[0])] = seconds
-            elif name == "pair-error" and args:
+            if name == "pair-error" and args:
                 arrays.add(args[0].lower())
             elif name == "pair-delay" and args:
                 pair_delay = float(args[0])
@@ -210,8 +181,6 @@ def parse_spec(spec: str) -> FaultPlan:
         except ValueError:
             continue
     return FaultPlan(
-        crash_chunks=frozenset(crash),
-        hang_chunks=hang,
         pair_arrays=frozenset(arrays),
         pair_delay=pair_delay,
         routines=frozenset(routines),
@@ -246,20 +215,6 @@ def active_plan() -> Optional[FaultPlan]:
             _PLANS.clear()
         plan = _PLANS[spec] = parse_spec(spec)
     return None if plan.empty else plan
-
-
-def on_chunk(seq: int) -> None:
-    """Worker-side hook, called before testing dispatch chunk ``seq``."""
-    if not IN_WORKER:
-        return
-    plan = active_plan()
-    if plan is None:
-        return
-    if seq in plan.crash_chunks:
-        os._exit(3)
-    seconds = plan.hang_chunks.get(seq)
-    if seconds is not None:
-        time.sleep(seconds)
 
 
 def on_pair(array: str) -> None:

@@ -2,22 +2,19 @@
 
 Dependence testing is only usable at corpus scale if it is *conservative
 under failure*: the suite may answer "no dependence" only when a test
-proves it, so a crash, hang, or resource blow-up anywhere in the engine
-must degrade to "assume dependence" — never to a lost routine, a missing
-pair, or a dead worker pool.  This module is the shared vocabulary of
-that guarantee:
+proves it, so a crash or resource blow-up anywhere in the engine must
+degrade to "assume dependence" — never to a lost routine or a missing
+pair.  This module is the shared vocabulary of that guarantee:
 
 * the exception taxonomy (:class:`PairTestError`,
-  :class:`WorkerCrashError`, :class:`ChunkTimeoutError`,
-  :class:`BudgetExceededError`) raised when strict mode forbids
-  degradation;
+  :class:`BudgetExceededError`, :class:`DeadlineExceededError`) raised
+  when strict mode forbids degradation;
 * :class:`FailureRecord` — the structured report of one absorbed failure,
   accumulated on :class:`~repro.engine.stats.EngineStats` and surfaced by
   ``repro-deps analyze``/``study``;
 * :class:`StepBudget` — a step counter threaded through the driver and
-  the Delta test so one pathological pair cannot monopolize a worker;
-* :class:`FaultPolicy` — the knobs: strict vs degrade, per-pair budget,
-  per-chunk timeout, pool-restart bounds and backoff.
+  the Delta test so one pathological pair cannot monopolize the process;
+* :class:`FaultPolicy` — the knobs: strict vs degrade, per-pair budget.
 
 The module is a deliberate leaf: it imports nothing from the rest of the
 package, so the core driver and the Delta test can raise and catch these
@@ -36,11 +33,6 @@ from typing import Callable, Optional
 #: the nastiest coupled groups a few hundred, so the default only ever
 #: trips on genuinely pathological inputs.
 DEFAULT_PAIR_BUDGET = 100_000
-
-#: Default per-chunk wall-clock timeout (seconds) for pool dispatch.
-#: Chunks normally finish in milliseconds; the generous default exists to
-#: catch hung workers, not slow ones.
-DEFAULT_CHUNK_TIMEOUT = 300.0
 
 #: Environment override for the per-pair step budget (integer; ``0``
 #: disables budgeting entirely).
@@ -62,14 +54,6 @@ class PairTestError(EngineFaultError):
         super().__init__(f"dependence test failed for {where}: {reason}")
         self.where = where
         self.reason = reason
-
-
-class WorkerCrashError(EngineFaultError):
-    """A pool worker died (e.g. ``BrokenProcessPool``) beyond recovery."""
-
-
-class ChunkTimeoutError(EngineFaultError):
-    """A dispatched chunk exceeded the per-chunk wall-clock timeout."""
 
 
 class BudgetExceededError(EngineFaultError):
@@ -178,14 +162,12 @@ class FailureRecord:
 
     ``kind`` is the failure class — ``"pair"`` (an in-test exception),
     ``"budget"`` (step budget exhausted), ``"deadline"`` (a request's
-    wall-clock deadline expired mid-test), ``"worker-crash"``,
-    ``"chunk-timeout"``, ``"routine"`` (a whole routine skipped), or
-    ``"store"`` (a persistent-store write failed and the run degraded
-    to memory-only caching).
+    wall-clock deadline expired mid-test), ``"routine"`` (a whole routine
+    skipped), or ``"store"`` (a persistent-store write failed and the run
+    degraded to memory-only caching).
     ``where`` locates it (pair description or suite/program/routine
     path); ``error`` is the stringified cause; ``attempts`` counts how
-    many tries the supervisor spent before giving the work up or moving
-    it in-process.
+    many tries were spent before the work was given up.
     """
 
     kind: str
@@ -212,10 +194,6 @@ def failure_kind(exc: BaseException) -> str:
         return "deadline"
     if isinstance(exc, BudgetExceededError):
         return "budget"
-    if isinstance(exc, ChunkTimeoutError):
-        return "chunk-timeout"
-    if isinstance(exc, WorkerCrashError):
-        return "worker-crash"
     return "pair"
 
 
@@ -242,24 +220,16 @@ class FaultPolicy:
     """How the engine reacts to faults.
 
     ``strict=False`` (the default) degrades: per-pair failures become
-    conservative assumed-dependence edges, crashed or hung chunks are
-    re-run serially in the parent, and unparsable routines are skipped
-    with a report.  ``strict=True`` fails fast instead, raising the
-    taxonomy above (the CLI maps it to a distinct exit code).
+    conservative assumed-dependence edges and unparsable routines are
+    skipped with a report.  ``strict=True`` fails fast instead, raising
+    the taxonomy above (the CLI maps it to a distinct exit code).
 
     ``pair_budget`` is the per-pair step allowance (None disables
-    budgeting); ``chunk_timeout`` the per-chunk dispatch timeout in
-    seconds (None waits forever); ``max_pool_restarts`` bounds how often
-    a broken pool is respawned per build before everything remaining
-    runs serially; ``restart_backoff`` is the base sleep between
-    respawns (linear: attempt × backoff).
+    budgeting).
     """
 
     strict: bool = False
     pair_budget: Optional[int] = field(default_factory=_env_budget)
-    chunk_timeout: Optional[float] = DEFAULT_CHUNK_TIMEOUT
-    max_pool_restarts: int = 2
-    restart_backoff: float = 0.1
 
     @classmethod
     def from_env(cls, strict: bool = False) -> "FaultPolicy":

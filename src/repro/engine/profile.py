@@ -1,10 +1,10 @@
 """Per-phase and per-test-tier wall-clock profiling for the engine.
 
 The engine's hot path has four phases — *prepare* (context + canonical
-key), *dispatch* (work shipped to the process pool), *rehydrate* (binding
-cached canonical verdicts to concrete pairs), and *edge-build* (turning
-verdicts into graph edges) — plus the driver's test tiers (ziv / siv /
-rdiv / miv / delta) on cache misses.  A :class:`PhaseProfile` accumulates
+key), *test* (the driver on a cache miss), *rehydrate* (binding cached
+canonical verdicts to concrete pairs), and *edge-build* (turning verdicts
+into graph edges) — plus the driver's test tiers (ziv / siv / rdiv / miv
+/ delta) inside *test*.  A :class:`PhaseProfile` accumulates
 wall seconds and call counts for each, so ``repro-deps analyze --profile``
 and the benchmark harness can show where a corpus run actually spends its
 time instead of guessing from aggregate speedups.
@@ -21,7 +21,7 @@ from time import perf_counter
 from typing import Dict, List
 
 #: Canonical display order for engine phases (unknown names sort after).
-PHASE_ORDER = ("prepare", "plan", "test", "dispatch", "rehydrate", "edge-build")
+PHASE_ORDER = ("prepare", "plan", "test", "rehydrate", "edge-build")
 
 
 class PhaseProfile:
@@ -29,8 +29,7 @@ class PhaseProfile:
 
     ``phases`` covers the engine pipeline, ``tests`` the driver's test
     tiers.  Both are plain dicts of two-element lists so merging (the
-    parallel builder folds per-build profiles) and JSON export stay
-    trivial.
+    service folds per-request profiles) and JSON export stay trivial.
     """
 
     __slots__ = ("phases", "tests")

@@ -1,11 +1,10 @@
-"""Engine observability: cache, plan, and fan-out counters.
+"""Engine observability: cache, plan, and fault counters.
 
 The study harness threads a :class:`~repro.instrument.TestRecorder`
 through the driver to count test applications (the paper's Table 3); the
 engine adds :class:`EngineStats` alongside it to count what the *cache*
 did — hits, misses, evictions — how often the precompiled test-plan tier
-fired, how much work the parallel builder shipped to workers, and how
-often adaptive dispatch chose to stay serial.  An optional
+fired, and which failures were absorbed.  An optional
 :class:`~repro.engine.profile.PhaseProfile` rides along for per-phase
 wall-clock timings.  The benchmark harness serializes all of it into
 ``BENCH_engine.json``.
@@ -14,7 +13,7 @@ wall-clock timings.  The benchmark harness serializes all of it into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.engine.faults import FailureRecord
 from repro.engine.profile import PhaseProfile
@@ -29,21 +28,15 @@ class EngineStats:
     the persistent :class:`~repro.engine.store.VerdictStore` (a resumed
     run's prior work), or actually tested; ``store_writes`` counts fresh
     verdicts written through to the store.  ``evictions``
-    counts LRU drops; ``seeded`` counts entries inserted by the parallel
-    builder (worker-produced results adopted without a local miss);
-    ``dispatched`` counts pairs actually tested in worker processes.
-    ``plan_hits``/``plan_misses`` count verdict misses that could / could
-    not replay a precompiled test plan; ``auto_serial`` counts builds where
-    adaptive dispatch predicted the pool would cost more than it saved and
-    ran in-process instead.  ``profile`` holds per-phase wall timings when
-    the engine was built with profiling on (None otherwise).
+    counts LRU drops.  ``plan_hits``/``plan_misses`` count verdict misses
+    that could / could not replay a precompiled test plan.  ``profile``
+    holds per-phase wall timings when the engine was built with profiling
+    on (None otherwise).
 
     The fault-tolerance layer reports here too: ``assumed`` counts pair
     resolutions degraded to a conservative assumed-dependence verdict,
-    ``worker_crashes``/``chunk_timeouts`` count pool faults the supervisor
-    absorbed, ``pool_restarts`` counts respawns, ``serial_recoveries``
-    counts chunks re-run in the parent after a fault, and
-    ``routines_skipped`` counts whole routines the study harness dropped.
+    and ``routines_skipped`` counts whole routines the study harness
+    dropped.
     ``failures`` holds one structured :class:`FailureRecord` per absorbed
     failure event, in occurrence order.
 
@@ -59,14 +52,6 @@ class EngineStats:
     ``/stats`` renders; the fields here exist so merged or deserialized
     service stats keep their meaning.  They are zero outside service
     runs.
-
-    ``backend_coverage`` holds the batching backend's self-reported
-    counters (harvested via ``TestBackend.take_coverage`` after each
-    batch): how many pairs ran fully vectorized vs partially vs fell
-    back to the per-pair walk, per-lane subscript counts, coupled-group
-    lock-step counts, and ``fallback:<reason>`` tallies.  Empty for
-    per-pair backends, and covers in-process batches only — worker
-    processes keep their own backend instances.
     """
 
     hits: int = 0
@@ -75,21 +60,13 @@ class EngineStats:
     store_writes: int = 0
     misses: int = 0
     evictions: int = 0
-    seeded: int = 0
-    dispatched: int = 0
     plan_hits: int = 0
     plan_misses: int = 0
-    auto_serial: int = 0
     assumed: int = 0
-    worker_crashes: int = 0
-    chunk_timeouts: int = 0
-    pool_restarts: int = 0
-    serial_recoveries: int = 0
     routines_skipped: int = 0
     shed_requests: int = 0
     coalesced_requests: int = 0
     degraded_requests: int = 0
-    backend_coverage: Dict[str, int] = field(default_factory=dict)
     failures: List[FailureRecord] = field(default_factory=list)
     profile: Optional[PhaseProfile] = field(default=None, compare=False)
 
@@ -117,83 +94,16 @@ class EngineStats:
             # in a shard after this store opened (folded from the tail),
             # as opposed to a prior run's resident records.
             store += f" ({self.store_foreign_hits} cross-process)"
-        text = (
+        return (
             f"verdict provenance: {self.hits} memory hit(s), "
             f"{store}, {self.misses} tested, "
             f"{self.assumed} assumed"
         )
-        coverage = self.coverage_summary()
-        if coverage:
-            text += f"; {coverage}"
-        return text
-
-    def add_coverage(self, counters: Dict[str, int]) -> None:
-        """Fold one harvested batch-coverage counter dict into the stats."""
-        coverage = self.backend_coverage
-        for key, count in counters.items():
-            coverage[key] = coverage.get(key, 0) + count
-
-    def coverage_summary(self) -> str:
-        """One-line batched/partial/fallback pair split (empty when unused)."""
-        coverage = self.backend_coverage
-        total = coverage.get("pairs", 0)
-        if not total:
-            return ""
-        batched = coverage.get("pairs_batched", 0)
-        partial = coverage.get("pairs_partial", 0)
-        fallback = coverage.get("pairs_fallback", 0)
-        return (
-            f"batched coverage: {batched}/{total} pair(s) fully batched "
-            f"({batched / total:.1%}), {partial} partial, {fallback} fallback"
-        )
-
-    def coverage_report(self) -> str:
-        """Multi-line lane/fallback breakdown (empty string when unused)."""
-        summary = self.coverage_summary()
-        if not summary:
-            return ""
-        coverage = self.backend_coverage
-        lines = [summary]
-        lanes = {
-            key[len("lane:"):]: count
-            for key, count in coverage.items()
-            if key.startswith("lane:")
-        }
-        if lanes:
-            lanes_text = ", ".join(
-                f"{name} {count}" for name, count in sorted(lanes.items())
-            )
-            lines.append(f"  lanes: {lanes_text}")
-        groups = coverage.get("delta:groups", 0)
-        if groups:
-            lines.append(
-                f"  coupled groups: {coverage.get('delta:groups_batched', 0)}"
-                f"/{groups} pre-run over {coverage.get('delta:rounds', 0)} "
-                f"lock-step round(s) "
-                f"({coverage.get('delta:inner_lane', 0)} lane / "
-                f"{coverage.get('delta:inner_direct', 0)} direct subscript"
-                f" test(s))"
-            )
-        fallbacks = {
-            key[len("fallback:"):]: count
-            for key, count in coverage.items()
-            if key.startswith("fallback:")
-        }
-        if fallbacks:
-            fallback_text = ", ".join(
-                f"{name} {count}" for name, count in sorted(fallbacks.items())
-            )
-            lines.append(f"  fallback reasons: {fallback_text}")
-        return "\n".join(lines)
 
     def record_failure(self, record: FailureRecord) -> None:
         """Append one absorbed-failure report (and bump its kind counter)."""
         self.failures.append(record)
-        if record.kind == "worker-crash":
-            self.worker_crashes += 1
-        elif record.kind == "chunk-timeout":
-            self.chunk_timeouts += 1
-        elif record.kind == "routine":
+        if record.kind == "routine":
             self.routines_skipped += 1
 
     def merge(self, other: "EngineStats") -> None:
@@ -204,22 +114,13 @@ class EngineStats:
         self.store_writes += other.store_writes
         self.misses += other.misses
         self.evictions += other.evictions
-        self.seeded += other.seeded
-        self.dispatched += other.dispatched
         self.plan_hits += other.plan_hits
         self.plan_misses += other.plan_misses
-        self.auto_serial += other.auto_serial
         self.assumed += other.assumed
-        self.worker_crashes += other.worker_crashes
-        self.chunk_timeouts += other.chunk_timeouts
-        self.pool_restarts += other.pool_restarts
-        self.serial_recoveries += other.serial_recoveries
         self.routines_skipped += other.routines_skipped
         self.shed_requests += other.shed_requests
         self.coalesced_requests += other.coalesced_requests
         self.degraded_requests += other.degraded_requests
-        if other.backend_coverage:
-            self.add_coverage(other.backend_coverage)
         self.failures.extend(other.failures)
         if other.profile is not None:
             if self.profile is None:
@@ -230,14 +131,10 @@ class EngineStats:
         """Zero every counter (keeps the profile object, zeroing its timers)."""
         self.hits = self.misses = self.evictions = 0
         self.store_hits = self.store_foreign_hits = self.store_writes = 0
-        self.seeded = self.dispatched = 0
-        self.plan_hits = self.plan_misses = self.auto_serial = 0
-        self.assumed = self.worker_crashes = self.chunk_timeouts = 0
-        self.pool_restarts = self.serial_recoveries = 0
-        self.routines_skipped = 0
+        self.plan_hits = self.plan_misses = 0
+        self.assumed = self.routines_skipped = 0
         self.shed_requests = self.coalesced_requests = 0
         self.degraded_requests = 0
-        self.backend_coverage.clear()
         self.failures.clear()
         if self.profile is not None:
             self.profile.reset()
@@ -253,11 +150,8 @@ class EngineStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "seeded": self.seeded,
-            "dispatched": self.dispatched,
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
-            "auto_serial": self.auto_serial,
             "hit_rate": round(self.hit_rate, 4),
         }
         if self.store_hits or self.store_writes:
@@ -267,18 +161,12 @@ class EngineStats:
                 out["store_foreign_hits"] = self.store_foreign_hits
         if self.degraded:
             out["assumed"] = self.assumed
-            out["worker_crashes"] = self.worker_crashes
-            out["chunk_timeouts"] = self.chunk_timeouts
-            out["pool_restarts"] = self.pool_restarts
-            out["serial_recoveries"] = self.serial_recoveries
             out["routines_skipped"] = self.routines_skipped
             out["failures"] = [record.as_dict() for record in self.failures]
         if self.shed_requests or self.coalesced_requests or self.degraded_requests:
             out["shed_requests"] = self.shed_requests
             out["coalesced_requests"] = self.coalesced_requests
             out["degraded_requests"] = self.degraded_requests
-        if self.backend_coverage:
-            out["backend_coverage"] = dict(self.backend_coverage)
         if self.profile is not None:
             out["profile"] = self.profile.as_dict()
         return out
@@ -294,11 +182,6 @@ class EngineStats:
         ]
         for record in self.failures:
             lines.append(f"  {record}")
-        if self.pool_restarts:
-            lines.append(
-                f"  pool restarted {self.pool_restarts}x; "
-                f"{self.serial_recoveries} chunk(s) recovered serially"
-            )
         return "\n".join(lines)
 
     def __str__(self) -> str:
@@ -315,8 +198,6 @@ class EngineStats:
                 text += f" ({self.store_foreign_hits} cross-process)"
         if self.plan_hits or self.plan_misses:
             text += f"; plans: {self.plan_hits} replayed, {self.plan_misses} compiled"
-        if self.auto_serial:
-            text += f"; auto-serial builds: {self.auto_serial}"
         if self.degraded:
             text += (
                 f"; degraded: {self.assumed} assumed, "

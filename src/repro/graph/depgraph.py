@@ -89,8 +89,8 @@ class DependenceEdge:
         Carrying loops are found by nesting position in the pair's
         common-loop tuple (the vector position *is* the nesting level) and
         keyed with :func:`loop_key`.  Keys are ordinary data rather than
-        ``id()`` values, so edges computed in a worker process still match
-        the parent's loop objects after crossing the pickle boundary.
+        ``id()`` values, so edges still match their loop objects after a
+        pickle round-trip.
         """
         loops = self.common_loops
         carried = set()
@@ -251,34 +251,6 @@ def build_dependence_graph(
     edges: List[DependenceEdge] = []
     tested = 0
     independent = 0
-    if getattr(tester, "wants_batch", False):
-        # A batching tester (a CachedDriver over a batch-capable backend):
-        # prepare every candidate pair, resolve them as one batch so the
-        # backend can group by test class, then expand edges in order.
-        pairs = list(iter_candidate_pairs(sites, include_input))
-        if profile is None:
-            prepared = [
-                tester.prepare(first, second, symbols) for first, second in pairs
-            ]
-        else:
-            start = perf_counter()
-            prepared = [
-                tester.prepare(first, second, symbols) for first, second in pairs
-            ]
-            profile.add_phase("prepare", perf_counter() - start, calls=len(pairs))
-        results = tester.resolve_batch(prepared, recorder)
-        for (first, second), result in zip(pairs, results):
-            tested += 1
-            if result.independent:
-                independent += 1
-                continue
-            if profile is None:
-                edges.extend(edges_from_result(first, second, result))
-            else:
-                start = perf_counter()
-                edges.extend(edges_from_result(first, second, result))
-                profile.add_phase("edge-build", perf_counter() - start)
-        return DependenceGraph(sites, edges, independent, tested, recorder)
     for first, second in iter_candidate_pairs(sites, include_input):
         tested += 1
         result = tester(first, second, symbols=symbols, recorder=recorder)
@@ -300,8 +272,8 @@ def edges_from_result(
     """Typed, oriented edges for one tested pair's driver result.
 
     Splits the result's vectors into the forward and (reversed) backward
-    edge per the module docstring; the engine's cached/parallel builders
-    call this with rehydrated results to assemble identical graphs.
+    edge per the module docstring; cached (rehydrated) results assemble
+    identical graphs through the same path.
     """
     vectors = result.direction_vectors
     depth = len(result.context.common_indices)

@@ -134,8 +134,8 @@ class Loop:
     body: List["Node"] = field(default_factory=list)
     label: Optional[str] = None
     #: Stable per-construction serial used by :func:`repro.graph.loop_key`.
-    #: Unlike ``id()`` it is ordinary data, so it survives pickling — results
-    #: computed in a worker process still key to the parent's loop objects.
+    #: Unlike ``id()`` it is ordinary data, so it survives pickling — a
+    #: result that round-trips through pickle still keys to its loops.
     uid: int = field(
         default_factory=lambda: next(_loop_counter), compare=False, repr=False
     )

@@ -1,11 +1,11 @@
 """The long-running dependence-analysis service.
 
 ``repro-deps serve`` keeps one warm :class:`~repro.engine.engine.DependenceEngine`
-— interning pools, LRU verdict/plan tiers, a shared persistent store, a
-persistent worker pool — resident behind a small stdlib-``asyncio`` HTTP
-front end, so the corpus-wide canonical-key hit rate the paper's
-empirical argument rests on accumulates across clients rather than being
-rebuilt per CLI invocation.  The robustness layers:
+— interning pools, LRU verdict/plan tiers, a shared persistent store —
+resident behind a small stdlib-``asyncio`` HTTP front end, so the
+corpus-wide canonical-key hit rate the paper's empirical argument rests
+on accumulates across clients rather than being rebuilt per CLI
+invocation.  The robustness layers:
 
 * :mod:`repro.service.protocol` — the JSON request/response schema,
   including the degraded-response contract (timed-out or faulted
@@ -14,9 +14,8 @@ rebuilt per CLI invocation.  The robustness layers:
 * :mod:`repro.service.limiter` — admission control: bounded in-flight
   work plus a bounded wait queue, overflow shed with ``503`` and
   ``Retry-After``;
-* :mod:`repro.service.breaker` — circuit breakers tripping a failing
-  store to memory-only caching and a failing pool to all-serial builds,
-  with half-open probe recovery;
+* :mod:`repro.service.breaker` — the circuit breaker tripping a failing
+  store to memory-only caching, with half-open probe recovery;
 * :mod:`repro.service.server` — the asyncio server: per-request
   deadlines wired into the engine's step budgets, in-flight coalescing
   of identical requests, graceful SIGTERM drain;

@@ -1,13 +1,13 @@
-"""Circuit breakers for the service's fallible backends.
+"""Circuit breakers for the service's fallible collaborators.
 
-The long-running service wraps each unreliable collaborator — the
-persistent verdict store, the worker pool — in a :class:`CircuitBreaker`.
+The long-running service wraps its unreliable collaborator — the
+persistent verdict store — in a :class:`CircuitBreaker`.
 The pattern is the classic three-state machine:
 
 * **closed** — normal operation; failures are counted within a sliding
   window.  Enough failures close together trip the breaker.
 * **open** — the collaborator is bypassed entirely (store detached →
-  memory-only caching; pool bypassed → all-serial builds).  Requests keep
+  memory-only caching).  Requests keep
   succeeding, just degraded.  After ``reset_timeout`` seconds the breaker
   becomes willing to probe.
 * **half-open** — exactly one probe is allowed through to the real

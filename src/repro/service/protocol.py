@@ -210,7 +210,7 @@ def analysis_payload(
 
     ``status`` is ``"ok"`` when every pair was genuinely tested and
     ``"degraded"`` when any verdict was assumed (deadline expiry, store
-    loss, worker crash, …).  Degraded responses carry the failure records
+    loss, an absorbed test fault, …).  Degraded responses carry the failure records
     so the client can see *why* the answer is conservative.
     """
     degraded = stats.degraded

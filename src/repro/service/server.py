@@ -2,10 +2,10 @@
 
 ``repro-deps serve`` turns the engine into a resident process: one warm
 :class:`~repro.engine.engine.DependenceEngine` — interning pools, LRU
-verdict and plan tiers, a shared persistent store, a persistent worker
-pool — serves every request, so the corpus-wide hit rate the paper's
-empirical argument rests on accumulates across *clients*, not just
-within one CLI invocation.
+verdict and plan tiers, a shared persistent store — serves every
+request, so the corpus-wide hit rate the paper's empirical argument
+rests on accumulates across *clients*, not just within one CLI
+invocation.
 
 The server is a small hand-rolled HTTP/1.1 front end over ``asyncio``
 (stdlib only, one reason this module exists at all), with the robustness
@@ -22,9 +22,9 @@ machinery layered around the engine seam:
   and ``Retry-After``.
 * **Coalescing** — concurrent requests for the same canonical body share
   one analysis; duplicates cost no admission slot.
-* **Circuit breakers** — repeated store failures trip to memory-only
-  mode, repeated pool failures trip to all-serial builds; both surface
-  in ``/healthz`` and recover through half-open probes.
+* **Circuit breaker** — repeated store failures trip to memory-only
+  mode; the breaker surfaces in ``/healthz`` and recovers through
+  half-open probes.
 * **Graceful shutdown** — SIGTERM/SIGINT stop accepting work (new
   requests get ``503``), drain in-flight requests, checkpoint the store,
   and exit cleanly.
@@ -33,9 +33,9 @@ One invariant ties the layers together: the event loop thread never
 acquires ``engine.serve_lock``.  A handler thread holds that lock for a
 whole build, so a loop-side acquire would let one stuck build stall
 every response — including the watchdog answer for the very request
-that is stuck.  Engine mutations decided on the loop (breaker trips,
-probe restores) are recorded as pending flags and applied by the next
-analysis thread; ``/stats`` serves a snapshot the last analysis took.
+that is stuck.  Engine mutations decided on the loop (breaker trips)
+are recorded as pending flags and applied by the next analysis thread;
+``/stats`` serves a snapshot the last analysis took.
 """
 
 from __future__ import annotations
@@ -98,8 +98,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    jobs: int = 1
-    backend: Optional[str] = None
     store_path: Optional[Path] = None
     store_shards: Optional[int] = None
     max_in_flight: int = 4
@@ -115,8 +113,6 @@ class ServiceConfig:
     drain_timeout: float = 30.0
     #: Store breaker: this many ``store`` failures within ``window`` trip.
     store_failure_threshold: int = 3
-    #: Pool breaker: this many crash/timeout failures within ``window`` trip.
-    pool_failure_threshold: int = 3
     breaker_window: float = 30.0
     breaker_reset_timeout: float = 2.0
     policy: FaultPolicy = field(default_factory=lambda: DEFAULT_POLICY)
@@ -177,12 +173,6 @@ class DependenceService:
             window=config.breaker_window,
             reset_timeout=config.breaker_reset_timeout,
         )
-        self.pool_breaker = CircuitBreaker(
-            "pool",
-            failure_threshold=config.pool_failure_threshold,
-            window=config.breaker_window,
-            reset_timeout=config.breaker_reset_timeout,
-        )
         self._inflight: Dict[str, _Coalesced] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
@@ -197,15 +187,12 @@ class DependenceService:
         #: must register that as a trip.
         self._store_attached = config.store_path is not None
         self._probing_store = False
-        self._probing_pool = False
-        #: Loop-decided engine transitions, applied by the next analysis
+        #: Loop-decided engine transition, applied by the next analysis
         #: thread: the event loop never takes ``engine.serve_lock`` (a
         #: build stuck while holding it would stall every response, the
-        #: watchdog path included), so trips and probe-restores are
-        #: recorded here and consumed executor-side before building.
+        #: watchdog path included), so a store trip is recorded here and
+        #: consumed executor-side before building.
         self._pending_store_trip = False
-        self._pending_pool_trip = False
-        self._pending_pool_restore = False
         #: ``engine.stats.as_dict()`` captured under the serve lock by
         #: the most recently completed analysis; ``/stats`` serves this
         #: snapshot so the loop never blocks on an in-progress build.
@@ -224,8 +211,6 @@ class DependenceService:
             kwargs["cache_size"] = config.cache_size
         self.engine = DependenceEngine(
             symbols=self.symbols,
-            jobs=config.jobs,
-            backend=config.backend,
             store=store,
             policy=config.policy,
             **kwargs,
@@ -537,16 +522,16 @@ class DependenceService:
     ) -> Tuple[int, Dict[str, Any]]:
         """Run one analysis in the executor; owns breaker bookkeeping.
 
-        ``probe_store``/``probe_pool`` mark this request as the *owner*
-        of a half-open probe — only the owner's outcome settles the
-        breaker, so a concurrent request that happened to run while the
-        probe was outstanding (and may never have touched the
-        collaborator at all) cannot close it.
+        ``probe_store`` marks this request as the *owner* of a half-open
+        probe — only the owner's outcome settles the breaker, so a
+        concurrent request that happened to run while the probe was
+        outstanding (and may never have touched the store at all) cannot
+        close it.
         """
         engine = self.engine
         assert engine is not None and self._executor is not None
         loop = asyncio.get_running_loop()
-        probe_store, probe_pool = await self._maybe_probe(loop)
+        probe_store = await self._maybe_probe(loop)
         try:
             status, payload, outcome = await loop.run_in_executor(
                 self._executor,
@@ -556,10 +541,10 @@ class DependenceService:
                 deadline_ms,
             )
         except Exception as exc:
-            self._settle_probe_failure(probe_store, probe_pool)
+            self._settle_probe_failure(probe_store)
             self.stats.internal_errors += 1
             return 500, error_payload("internal", str(exc))
-        self._settle_breakers(outcome, probe_store, probe_pool)
+        self._settle_breakers(outcome, probe_store)
         return status, payload
 
     def _analyze_sync(
@@ -571,7 +556,7 @@ class DependenceService:
         """The blocking analysis body (runs on an executor thread).
 
         Returns ``(http_status, payload, outcome)`` where ``outcome``
-        counts this request's store and pool failures for the breakers.
+        counts this request's store failures for the breaker.
         """
         self._apply_pending_transitions(engine)
         started = time.perf_counter()
@@ -587,7 +572,7 @@ class DependenceService:
             return (
                 422,
                 error_payload("syntax error", exc.diagnostic()),
-                {"store": 0, "pool": 0, "syntax": 1},
+                {"store": 0, "syntax": 1},
             )
         stats = EngineStats()
         recorder = TestRecorder()
@@ -628,11 +613,6 @@ class DependenceService:
         )
         outcome = {
             "store": sum(1 for f in stats.failures if f.kind == "store"),
-            "pool": sum(
-                1
-                for f in stats.failures
-                if f.kind in ("worker-crash", "chunk-timeout")
-            ),
             "syntax": 0,
         }
         with engine.serve_lock:
@@ -641,12 +621,10 @@ class DependenceService:
 
     # -- breakers ---------------------------------------------------------
 
-    def _settle_breakers(
-        self, outcome: Dict[str, int], probe_store: bool, probe_pool: bool
-    ) -> None:
-        """Feed one request's failure counts into both breakers.
+    def _settle_breakers(self, outcome: Dict[str, int], probe_store: bool) -> None:
+        """Feed one request's store failure count into the breaker.
 
-        Runs on the event loop (the breakers are loop-owned), but never
+        Runs on the event loop (the breaker is loop-owned), but never
         touches the engine under ``serve_lock`` — a trip decision is
         recorded as a pending flag and applied by the next analysis
         thread in :meth:`_apply_pending_transitions`.  Only the probe
@@ -665,11 +643,11 @@ class DependenceService:
         if engine is None:
             return
         if outcome.get("syntax"):
-            # Parse never touched store or pool, so an owned probe
-            # proved nothing: settle it as a failure (re-open, retry
-            # after the reset timeout) rather than leaving the breaker
-            # half-open with no owner left to ever settle it.
-            self._settle_probe_failure(probe_store, probe_pool)
+            # Parse never touched the store, so an owned probe proved
+            # nothing: settle it as a failure (re-open, retry after the
+            # reset timeout) rather than leaving the breaker half-open
+            # with no owner left to ever settle it.
+            self._settle_probe_failure(probe_store)
             return
         store_failures = outcome.get("store", 0)
         driver_detached = (
@@ -696,50 +674,18 @@ class DependenceService:
             else:
                 self.store_breaker.record_success()
 
-        pool_failures = outcome.get("pool", 0)
-        if probe_pool:
-            self._probing_pool = False
-            if pool_failures:
-                self.pool_breaker.record_failure(pool_failures)
-                self._pending_pool_trip = True
-            else:
-                # Probe passed: keep the restored worker count.
-                self.pool_breaker.record_success()
-        elif self.pool_breaker.state == "closed":
-            if pool_failures:
-                if self.pool_breaker.record_failure(pool_failures):
-                    self._pending_pool_trip = True
-            else:
-                self.pool_breaker.record_success()
-
-    def _settle_probe_failure(self, probe_store: bool, probe_pool: bool) -> None:
-        """Settle owned probes as failed (re-open + re-degrade pending)."""
+    def _settle_probe_failure(self, probe_store: bool) -> None:
+        """Settle an owned probe as failed (re-open + re-degrade pending)."""
         if probe_store:
             self._probing_store = False
             self.store_breaker.record_failure()
             self._pending_store_trip = True
-        if probe_pool:
-            self._probing_pool = False
-            self.pool_breaker.record_failure()
-            self._pending_pool_trip = True
 
     def _apply_pending_transitions(self, engine: DependenceEngine) -> None:
-        """Consume loop-decided trips/restores (analysis threads only).
-
-        Order matters: a trip pending alongside a restore means a probe
-        was granted after the trip decision, so the restore — the newer
-        intent — must win.
-        """
+        """Consume a loop-decided store trip (analysis threads only)."""
         if self._pending_store_trip:
             self._pending_store_trip = False
             self._trip_store_now(engine)
-        if self._pending_pool_trip:
-            self._pending_pool_trip = False
-            self._trip_pool_now(engine)
-        if self._pending_pool_restore:
-            self._pending_pool_restore = False
-            with engine.serve_lock:
-                engine.jobs = self.config.jobs
 
     def _trip_store_now(self, engine: DependenceEngine) -> None:
         """Detach the persistent tier: memory-only until a probe succeeds."""
@@ -757,30 +703,14 @@ class DependenceService:
         elif self.config.store_path is not None:
             self._detached_store_path = self.config.store_path
 
-    def _trip_pool_now(self, engine: DependenceEngine) -> None:
-        """Degrade to all-serial builds until a probe succeeds."""
-        with engine.serve_lock:
-            pool, engine._pool = engine._pool, None
-            engine.jobs = 1
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False)
-            except Exception:
-                pass
+    async def _maybe_probe(self, loop) -> bool:
+        """Half-open recovery: reattach the store for one probe.
 
-    async def _maybe_probe(self, loop) -> Tuple[bool, bool]:
-        """Half-open recovery: reattach store / restore pool for one probe.
-
-        Returns ``(store_owner, pool_owner)``: True marks the calling
-        request as the probe's owner — the one request whose outcome is
-        allowed to settle the half-open breaker.  The store reattach
-        runs on the default executor (it takes ``serve_lock``); the pool
-        restore is a pending flag the owner's own analysis thread
-        applies before building, so the probe request itself exercises
-        the restored pool.
+        Returns True when the calling request owns the probe — the one
+        request whose outcome is allowed to settle the half-open
+        breaker.  The reattach runs on the default executor (it takes
+        ``serve_lock``).
         """
-        own_store = False
-        own_pool = False
         if (
             not self._probing_store
             and self._detached_store_path is not None
@@ -791,20 +721,11 @@ class DependenceService:
                 None, self._reattach_store
             )
             if reattached:
-                own_store = True
-            else:
-                # Couldn't even open: the probe fails without a request.
-                self._probing_store = False
-                self.store_breaker.record_failure()
-        if (
-            self.config.jobs > 1
-            and not self._probing_pool
-            and self.pool_breaker.should_probe()
-        ):
-            self._probing_pool = True
-            self._pending_pool_restore = True
-            own_pool = True
-        return own_store, own_pool
+                return True
+            # Couldn't even open: the probe fails without a request.
+            self._probing_store = False
+            self.store_breaker.record_failure()
+        return False
 
     def _reattach_store(self) -> bool:
         engine = self.engine
@@ -835,7 +756,6 @@ class DependenceService:
             not self._draining
             and engine is not None
             and self.store_breaker.state == "closed"
-            and self.pool_breaker.state == "closed"
         )
         return {
             "status": "ok" if healthy else ("draining" if self._draining else "degraded"),
@@ -844,11 +764,6 @@ class DependenceService:
             "store": {
                 "mode": store_mode,
                 "breaker": self.store_breaker.as_dict(),
-            },
-            "pool": {
-                "jobs": engine.jobs if engine is not None else 0,
-                "configured_jobs": self.config.jobs,
-                "breaker": self.pool_breaker.as_dict(),
             },
             "admission": self.limiter.as_dict(),
         }

@@ -24,7 +24,7 @@ from repro.study.tables import (
 
 
 def precision_comparison(
-    suites: Optional[List[str]] = None, jobs: int = 1, engine=None
+    suites: Optional[List[str]] = None, engine=None
 ) -> str:
     """Independent-pairs comparison: paper's suite vs the baselines.
 
@@ -32,9 +32,8 @@ def precision_comparison(
     Delta test) proves more coupled independences than subscript-by-
     subscript testing, at far lower cost than the Power test.
 
-    The partition+delta column runs through the engine (cached, and over
-    ``jobs`` workers when asked); the baseline testers have no canonical
-    form and always run serially.  Routine-level failures (in either the
+    The partition+delta column runs through the (cached) engine; the
+    baseline testers have no canonical form and run uncached.  Routine-level failures (in either the
     engine or a baseline tester) skip that routine for that tester and
     land in the engine's fault report, unless the policy is strict.
     """
@@ -44,7 +43,7 @@ def precision_comparison(
     symbols = default_symbols()
     corpus = load_corpus(suites)
     if engine is None:
-        engine = DependenceEngine(symbols=symbols, jobs=jobs)
+        engine = DependenceEngine(symbols=symbols)
     testers = (
         ("partition+delta", None),
         ("subscript-by-subscript", test_dependence_subscript_by_subscript),
@@ -87,9 +86,7 @@ def precision_comparison(
     )
 
 
-def full_report(
-    suites: Optional[List[str]] = None, jobs: int = 1, engine=None
-) -> str:
+def full_report(suites: Optional[List[str]] = None, engine=None) -> str:
     """All tables and comparisons as one text report.
 
     One engine serves every section, so its cache stays warm across them
@@ -99,13 +96,13 @@ def full_report(
     from repro.engine import DependenceEngine
 
     if engine is None:
-        engine = DependenceEngine(symbols=default_symbols(), jobs=jobs)
+        engine = DependenceEngine(symbols=default_symbols())
     stats = corpus_stats(suites)
     sections = [
         render_table1(table1(stats)),
         render_table2(table2(stats)),
-        render_table3(table3(suites, jobs=jobs, engine=engine)),
-        precision_comparison(suites, jobs=jobs, engine=engine),
+        render_table3(table3(suites, engine=engine)),
+        precision_comparison(suites, engine=engine),
     ]
     if engine.stats.degraded:
         sections.append(engine.stats.failure_report())

@@ -160,16 +160,15 @@ class Table3Row:
 def table3(
     suites: Optional[List[str]] = None,
     symbols: Optional[SymbolEnv] = None,
-    jobs: int = 1,
     engine=None,
 ) -> List[Table3Row]:
     """Run the instrumented driver over the corpus; per-suite recorders.
 
     One :class:`~repro.engine.engine.DependenceEngine` serves the whole
     corpus, so canonical cache entries accumulate across suites; its
-    recorder parity guarantees the counts match an uncached serial run.
-    ``jobs > 1`` fans the tests out over a process pool.  Pass ``engine``
-    to share one across report sections (and to choose a fault policy).
+    recorder parity guarantees the counts match an uncached run.  Pass
+    ``engine`` to share one across report sections (and to choose a
+    fault policy).
 
     Routines are isolated: a routine whose whole graph build fails —
     something even the engine's per-pair degradation could not absorb —
@@ -182,7 +181,7 @@ def table3(
     symbols = symbols or default_symbols()
     corpus = load_corpus(suites)
     if engine is None:
-        engine = DependenceEngine(symbols=symbols, jobs=jobs)
+        engine = DependenceEngine(symbols=symbols)
     rows: List[Table3Row] = []
     for suite, programs in corpus.items():
         recorder = TestRecorder()

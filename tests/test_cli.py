@@ -48,11 +48,6 @@ class TestAnalyze:
 
 
 class TestAnalyzeEngineFlags:
-    def test_analyze_jobs(self, kernel_file, capsys):
-        assert main(["analyze", str(kernel_file), "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "routine kern" in out and "flow" in out
-
     def test_analyze_no_cache(self, kernel_file, capsys):
         assert main(["analyze", str(kernel_file), "--no-cache", "--counts"]) == 0
         out = capsys.readouterr().out
@@ -73,7 +68,7 @@ class TestAnalyzeEngineFlags:
         assert main(["analyze", str(kernel_file)]) == 0
         assert "phase timings" not in capsys.readouterr().out
 
-    def test_jobs_and_cache_match_serial(self, kernel_file, capsys):
+    def test_no_cache_matches_cached(self, kernel_file, capsys):
         # Statement labels (S1, S2, ...) come from a global construction
         # counter, so they drift between parses; mask them before
         # comparing verdict output across engine configurations.
@@ -81,9 +76,8 @@ class TestAnalyzeEngineFlags:
             main(argv)
             return re.sub(r"\bS\d+\b", "S#", capsys.readouterr().out)
 
-        serial = normalized(["analyze", str(kernel_file)])
-        assert normalized(["analyze", str(kernel_file), "--jobs", "2"]) == serial
-        assert normalized(["analyze", str(kernel_file), "--no-cache"]) == serial
+        cached = normalized(["analyze", str(kernel_file)])
+        assert normalized(["analyze", str(kernel_file), "--no-cache"]) == cached
 
 
 class TestMissingInput:

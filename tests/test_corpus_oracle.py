@@ -13,16 +13,19 @@ asserted to stay a minority so the sweep keeps its teeth.
 
 import pytest
 
+from repro.core.driver import test_dependence
 from repro.graph.depgraph import iter_candidate_pairs
 from repro.ir.context import SymbolEnv
 from repro.corpus.loader import load_suite
 
 from tests.oracle import brute_force_vectors, eval_expr
-from tests.scenarios import backend_test_dependence as test_dependence
 
-# The corpus sweep runs once per registered backend (see conftest.py),
-# so every backend's verdicts are certified against brute force.
-apply_backend_scenarios = True
+
+@pytest.fixture(autouse=True, params=["reference"])
+def reference_suite(request):
+    """Tag every test here ``[reference]``: its verdicts come from the
+    scalar reference tests, and the id keeps test names stable."""
+    return request.param
 
 #: Concrete values for the corpus size symbols: small enough to enumerate,
 #: big enough to exercise offsets up to ~4.

@@ -136,6 +136,53 @@ class TestBoxQueries:
             assert count == len(expected)
 
 
+def brute_half_open(a, b, c, bound, x_is_upper, ylo, yhi):
+    """Brute force over bounded ``y`` with ``x`` on one side of ``bound``."""
+    for y in range(ylo, yhi + 1):
+        rest = c - b * y
+        if a == 0:
+            if rest == 0:
+                return True
+            continue
+        if rest % a:
+            continue
+        x = rest // a
+        if (x <= bound) if x_is_upper else (x >= bound):
+            return True
+    return False
+
+
+class TestFreshInfinities:
+    """Bounds built by interval arithmetic carry new ``inf`` objects, not
+    the ``NEG_INF``/``POS_INF`` constants; the solver must treat every
+    infinity as unbounded by value, never by identity."""
+
+    def test_fresh_neg_inf_lower_bound(self):
+        # x = 4y + 22 >= 50 for y in [7, 9], so x <= 9 has no solution.
+        assert not has_solution_in_box(-1, 4, -22, -float("inf"), 9, 7, 9)
+
+    @given(
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.integers(-30, 30),
+        st.integers(-10, 10),
+        st.integers(-3, 3),
+        st.integers(0, 5),
+        st.booleans(),
+    )
+    def test_half_open_x_matches_brute_force(
+        self, a, b, c, bound, ylo, yw, x_is_upper
+    ):
+        yhi = ylo + yw
+        if x_is_upper:
+            xlo, xhi = -float("inf"), bound
+        else:
+            xlo, xhi = bound, float("inf")
+        assert xlo is not NEG_INF and xhi is not POS_INF
+        expected = brute_half_open(a, b, c, bound, x_is_upper, ylo, yhi)
+        assert has_solution_in_box(a, b, c, xlo, xhi, ylo, yhi) == expected
+
+
 class TestConditions:
     def test_ordering_conditions(self):
         box = [(1, 0, 1, 10), (0, 1, 1, 10)]

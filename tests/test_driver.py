@@ -1,7 +1,9 @@
 """Unit and oracle tests for the partition-based driver (Section 3)."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.driver import test_dependence
 from repro.dirvec.direction import Direction
 from repro.fortran.parser import parse_fragment
 from repro.instrument import TestRecorder
@@ -10,12 +12,14 @@ from repro.ir.loop import collect_access_sites
 
 from tests.helpers import sites_of, write_read_pair
 from tests.oracle import brute_force_vectors
-from tests.scenarios import backend_test_dependence as test_dependence
 
-# Every test here runs once per registered backend (see conftest.py):
-# the assertions below — paper examples, merge behavior, the hypothesis
-# oracle — double as the backend parity suite.
-apply_backend_scenarios = True
+
+@pytest.fixture(autouse=True, params=["reference"])
+def reference_suite(request):
+    """Tag every test here ``[reference]``: its verdicts come from the
+    scalar reference tests, and the id keeps test names stable."""
+    return request.param
+
 
 LT, EQ, GT = Direction.LT, Direction.EQ, Direction.GT
 

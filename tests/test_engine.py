@@ -1,8 +1,8 @@
 """Engine tests: canonical keys, the LRU cache, and builder parity.
 
-The load-bearing property: the serial, cached, and parallel builders must
-produce byte-identical dependence graphs and recorder statistics for any
-statement list.  Alongside it, the canonical key must be exactly as
+The load-bearing property: the serial builder, the cached engine, and the
+service's ``serve_build`` seam must produce byte-identical dependence
+graphs and recorder statistics for any statement list.  Alongside it, the canonical key must be exactly as
 coarse as the driver's observable inputs — sharing across alpha-renamed
 twins, never across pairs that differ in bounds, symbols, or orientation.
 """
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpus.generator import random_nest
 from repro.corpus.loader import default_symbols, load_corpus
-from repro.engine import CachedDriver, DependenceEngine
+from repro.engine import CachedDriver, DependenceEngine, EngineStats
 from repro.engine.canonical import canonical_pair_key, rename_map
 from repro.fortran.parser import parse_fragment
 from repro.graph.depgraph import build_dependence_graph, iter_candidate_pairs
@@ -186,20 +186,23 @@ class TestCachedDriver:
 
 
 def build_three_ways(nodes, symbols):
-    """(signature, recorder rows) for serial / cached / parallel builds."""
+    """(signature, recorder rows) for serial / cached / serve_build builds."""
     out = []
     serial_recorder = TestRecorder()
     serial = build_dependence_graph(
         nodes, symbols=symbols, recorder=serial_recorder
     )
     out.append((graph_signature(serial), recorder_rows(serial_recorder)))
-    for engine in (
-        DependenceEngine(symbols=symbols),
-        DependenceEngine(symbols=symbols, jobs=2, chunksize=4),
-    ):
-        recorder = TestRecorder()
-        graph = engine.build_graph(nodes, recorder=recorder)
-        out.append((graph_signature(graph), recorder_rows(recorder)))
+    recorder = TestRecorder()
+    graph = DependenceEngine(symbols=symbols).build_graph(
+        nodes, recorder=recorder
+    )
+    out.append((graph_signature(graph), recorder_rows(recorder)))
+    recorder = TestRecorder()
+    graph = DependenceEngine(symbols=symbols).serve_build(
+        nodes, recorder=recorder, stats=EngineStats()
+    )
+    out.append((graph_signature(graph), recorder_rows(recorder)))
     return out
 
 
@@ -238,43 +241,6 @@ class TestBuilderParity:
                         f"{program.name}/{routine.name} diverged"
                     )
 
-    def test_parallel_no_dedup_parity(self):
-        nodes = random_nest(3, depth=2, statements=5, ndim=2)
-        symbols = default_symbols()
-        serial_recorder = TestRecorder()
-        serial = build_dependence_graph(
-            nodes, symbols=symbols, recorder=serial_recorder
-        )
-        engine = DependenceEngine(
-            symbols=symbols, jobs=2, use_cache=False, chunksize=4
-        )
-        recorder = TestRecorder()
-        graph = engine.build_graph(nodes, recorder=recorder)
-        assert graph_signature(graph) == graph_signature(serial)
-        assert recorder_rows(recorder) == recorder_rows(serial_recorder)
-
-    def test_parallel_edges_resolve_parent_loops(self):
-        """Edges built from worker verdicts key to the parent's loops."""
-        source = """
-      do i = 1, 100
-        do j = 1, 100
-          A(i, j) = A(i-1, j)
-        end do
-      end do
-"""
-        nodes = parse_fragment(source)
-        engine = DependenceEngine(jobs=2, chunksize=1)
-        graph = engine.build_graph(nodes)
-        outer = nodes[0]
-        inner = outer.body[0]
-        assert graph.edges, "expected a carried flow dependence"
-        assert graph.edges_carried_by(outer)
-        assert not graph.edges_carried_by(inner)
-
-    def test_engine_rejects_bad_jobs(self):
-        with pytest.raises(ValueError):
-            DependenceEngine(jobs=0)
-
 
 class TestEngineStats:
     def test_shared_cache_accumulates_across_builds(self):
@@ -287,62 +253,13 @@ class TestEngineStats:
         assert engine.stats.hit_rate > 0
 
     def test_merge_and_reset(self):
-        from repro.engine import EngineStats
-
-        a = EngineStats(hits=2, misses=1, evictions=1, seeded=3, dispatched=4)
+        a = EngineStats(hits=2, misses=1, evictions=1, plan_hits=3, plan_misses=4)
         b = EngineStats(hits=1, misses=1)
         b.merge(a)
-        assert b.hits == 3 and b.misses == 2 and b.dispatched == 4
+        assert b.hits == 3 and b.misses == 2 and b.plan_misses == 4
         assert b.as_dict()["hit_rate"] == 0.6
         b.reset()
         assert b.lookups == 0 and b.hit_rate == 0.0
-
-
-class TestAdaptiveDispatch:
-    """The parallel builder's cost model and auto-serial fallback."""
-
-    def test_tiny_build_stays_serial(self):
-        """Below the pair threshold, --jobs never touches the pool."""
-        nodes = random_nest(2, depth=2, statements=3, ndim=2)
-        symbols = default_symbols()
-        serial = build_dependence_graph(nodes, symbols=symbols)
-        with DependenceEngine(symbols=symbols, jobs=2) as engine:
-            graph = engine.build_graph(nodes)
-            assert engine.stats.auto_serial >= 1
-            assert engine.stats.dispatched == 0
-            assert engine._pool is None  # lazy pool never created
-        assert graph_signature(graph) == graph_signature(serial)
-
-    def test_explicit_chunksize_opts_out_of_adaptivity(self):
-        nodes = random_nest(2, depth=2, statements=3, ndim=2)
-        symbols = default_symbols()
-        with DependenceEngine(symbols=symbols, jobs=2, chunksize=4) as engine:
-            engine.build_graph(nodes)
-            assert engine.stats.auto_serial == 0
-            assert engine.stats.dispatched > 0
-
-    def test_cost_estimate_orders_tiers(self):
-        """ZIV-only pairs cost less than MIV pairs, coupled cost most."""
-        from repro.engine import estimate_pair_cost
-
-        def first_pair_cost(source):
-            sites = collect_access_sites(parse_fragment(source))
-            pairs = list(iter_candidate_pairs(sites))
-            driver = CachedDriver(default_symbols())
-            context, _, _ = driver.prepare(*pairs[0])
-            return estimate_pair_cost(context)
-
-        ziv = first_pair_cost(
-            "DO 10 I = 1, 100\n      A(1) = A(2)\n   10 CONTINUE"
-        )
-        siv = first_pair_cost(
-            "DO 10 I = 1, 100\n      A(I) = A(I-1)\n   10 CONTINUE"
-        )
-        coupled = first_pair_cost(
-            "DO 10 I = 1, 100\n      DO 20 J = 1, 100\n"
-            "      A(I+J, I) = A(I+J-1, I)\n   20 CONTINUE\n   10 CONTINUE"
-        )
-        assert ziv < siv < coupled
 
 
 class TestProfiling:

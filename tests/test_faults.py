@@ -1,11 +1,11 @@
-"""Fault-tolerance tests: budgets, degradation, supervision, injection.
+"""Fault-tolerance tests: budgets, degradation, injection.
 
 The load-bearing property mirrors the engine's contract: a dependence
 verdict may be *independent* only when a test proved it, so every fault —
-an in-test exception, an exhausted step budget, a crashed or hung worker,
-an unparsable routine — must degrade to a conservative assumed-dependence
-edge (or a skipped-and-reported routine), never to a lost pair or a
-spurious independence.  Faults are injected deterministically through
+an in-test exception, an exhausted step budget, an unparsable routine —
+must degrade to a conservative assumed-dependence edge (or a
+skipped-and-reported routine), never to a lost pair or a spurious
+independence.  Faults are injected deterministically through
 :mod:`repro.engine.faultinject` (the ``REPRO_FAULTS`` hook).
 """
 
@@ -19,7 +19,6 @@ from repro.engine import (
     FaultPolicy,
     PairTestError,
     StepBudget,
-    WorkerCrashError,
 )
 from repro.engine import faultinject
 from repro.engine.faultinject import InjectedFaultError, parse_spec
@@ -46,17 +45,6 @@ TWO_ARRAYS = """
 B_ONLY = """
       do i = 1, 100
         B(i+2) = B(i)
-      end do
-"""
-
-#: Wide enough to exceed AUTO_SERIAL thresholds indirectly: dispatch is
-#: forced with an explicit chunksize, so three statements (9 pairs) give
-#: the pool several chunks to fault and recover.
-POOL_KERNEL = """
-      do i = 1, 100
-        A(i+1) = A(i) + B(i+2)
-        B(i) = C(i-1) * A(i+3)
-        C(i+2) = B(i-3) + C(i)
       end do
 """
 
@@ -99,27 +87,20 @@ class TestStepBudget:
 
 class TestFaultSpecParsing:
     def test_full_spec(self):
-        plan = parse_spec("crash-chunk:1,hang-chunk:2:5.5,pair-error:A,routine-error:S")
-        assert plan.crash_chunks == frozenset({1})
-        assert plan.hang_chunks == {2: 5.5}
+        plan = parse_spec("pair-delay:5.5,store-die:2:meta,pair-error:A,routine-error:S")
+        assert plan.pair_delay == 5.5
+        assert plan.store_die == 2 and plan.store_die_shard == "meta"
         assert plan.pair_arrays == frozenset({"a"})
         assert plan.routines == frozenset({"s"})
 
     def test_unknown_and_malformed_directives_ignored(self):
-        plan = parse_spec("explode:now,crash-chunk:x,,pair-error:b")
-        assert plan.crash_chunks == frozenset()
+        plan = parse_spec("explode:now,store-die:x,,pair-error:b")
+        assert plan.store_die is None
         assert plan.pair_arrays == frozenset({"b"})
 
     def test_empty_env_means_no_plan(self, monkeypatch):
         monkeypatch.delenv(faultinject.ENV_VAR, raising=False)
         assert faultinject.active_plan() is None
-
-    def test_chunk_faults_are_worker_scoped(self, monkeypatch):
-        # on_chunk is a no-op in the parent process even with a crash
-        # armed — that is what makes serial recovery compute real results.
-        monkeypatch.setenv(faultinject.ENV_VAR, "crash-chunk:0")
-        assert faultinject.IN_WORKER is False
-        faultinject.on_chunk(0)  # must not exit
 
 
 class TestFailureReporting:
@@ -132,16 +113,14 @@ class TestFailureReporting:
     def test_stats_kind_counters_and_report(self):
         stats = EngineStats()
         assert not stats.degraded
-        stats.record_failure(FailureRecord("worker-crash", "chunk 0", "boom"))
-        stats.record_failure(FailureRecord("chunk-timeout", "chunk 1", "slow"))
+        stats.record_failure(FailureRecord("pair", "A(i) -> A(i+1)", "boom"))
+        stats.record_failure(FailureRecord("budget", "B(i) -> B(i)", "slow"))
         stats.record_failure(FailureRecord("routine", "s/p/r", "bad"))
-        assert stats.worker_crashes == 1
-        assert stats.chunk_timeouts == 1
         assert stats.routines_skipped == 1
         assert stats.degraded
         report = stats.failure_report()
         assert "fault report: 3 failure(s)" in report
-        assert "[worker-crash] chunk 0" in report
+        assert "[pair] A(i) -> A(i+1)" in report
 
     def test_merge_carries_failures(self):
         a, b = EngineStats(), EngineStats()
@@ -234,143 +213,6 @@ class TestPairErrorInjection:
         driver = CachedDriver(policy=FaultPolicy(strict=True))
         with pytest.raises(PairTestError):
             build_dependence_graph(parse_fragment(TWO_ARRAYS), tester=driver)
-
-
-class TestWorkerSupervision:
-    def _engine(self, policy, **kwargs):
-        return DependenceEngine(jobs=2, chunksize=2, policy=policy, **kwargs)
-
-    def _clean_signature(self, source):
-        return graph_signature(
-            build_dependence_graph(parse_fragment(source), tester=CachedDriver())
-        )
-
-    def test_worker_crash_recovers_with_identical_graph(self, monkeypatch):
-        monkeypatch.setenv(faultinject.ENV_VAR, "crash-chunk:0")
-        with self._engine(FaultPolicy(restart_backoff=0.0)) as engine:
-            graph = engine.build_graph(parse_fragment(POOL_KERNEL))
-            stats = engine.stats
-        assert stats.worker_crashes == 1
-        assert stats.serial_recoveries >= 1
-        assert stats.assumed == 0  # parent recovery computed real results
-        monkeypatch.delenv(faultinject.ENV_VAR)
-        assert graph_signature(graph) == self._clean_signature(POOL_KERNEL)
-
-    def test_hung_worker_times_out_and_recovers(self, monkeypatch):
-        monkeypatch.setenv(faultinject.ENV_VAR, "hang-chunk:0:10")
-        policy = FaultPolicy(chunk_timeout=1.0, restart_backoff=0.0)
-        with self._engine(policy) as engine:
-            graph = engine.build_graph(parse_fragment(POOL_KERNEL))
-            stats = engine.stats
-        assert stats.chunk_timeouts == 1
-        assert stats.serial_recoveries >= 1
-        monkeypatch.delenv(faultinject.ENV_VAR)
-        assert graph_signature(graph) == self._clean_signature(POOL_KERNEL)
-
-    def test_strict_worker_crash_raises(self, monkeypatch):
-        monkeypatch.setenv(faultinject.ENV_VAR, "crash-chunk:0")
-        policy = FaultPolicy(strict=True, restart_backoff=0.0)
-        with self._engine(policy) as engine:
-            with pytest.raises(WorkerCrashError):
-                engine.build_graph(parse_fragment(POOL_KERNEL))
-
-    def test_engine_pool_usable_after_recovery(self, monkeypatch):
-        # A replaced pool must be adopted by the engine: the next build
-        # may not go through a dead executor.
-        monkeypatch.setenv(faultinject.ENV_VAR, "crash-chunk:0")
-        with self._engine(FaultPolicy(restart_backoff=0.0)) as engine:
-            engine.build_graph(parse_fragment(POOL_KERNEL))
-            monkeypatch.delenv(faultinject.ENV_VAR)
-            graph = engine.build_graph(parse_fragment(POOL_KERNEL))
-        assert graph_signature(graph) == self._clean_signature(POOL_KERNEL)
-
-
-class _FakeFuture:
-    def __init__(self, value):
-        self._value = value
-
-    def done(self):
-        return True
-
-    def result(self, timeout=None):
-        return self._value
-
-
-class _FakeExecutor:
-    """Executor stub whose ``submit`` starts raising after N calls."""
-
-    def __init__(self, break_after):
-        self.break_after = break_after
-        self.submitted = 0
-
-    def submit(self, fn, task):
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self.submitted >= self.break_after:
-            raise BrokenProcessPool(
-                "A child process terminated abruptly, "
-                "the process pool is not usable anymore"
-            )
-        self.submitted += 1
-        return _FakeFuture(fn(task))
-
-    def shutdown(self, *args, **kwargs):
-        pass
-
-
-class TestSubmitTimeBreak:
-    """A worker dying on an early chunk can flag the pool broken while
-    the supervisor is *still submitting* later chunks of the same build
-    — then ``submit`` itself raises.  That surface must recover exactly
-    like a result-time crash, never escape to the caller."""
-
-    def _run(self, policy):
-        from repro.engine.supervisor import PoolSupervisor
-
-        stats = EngineStats()
-        supervisor = PoolSupervisor(
-            _FakeExecutor(break_after=2),
-            spawn=lambda: _FakeExecutor(break_after=10**9),
-            policy=policy,
-            stats=stats,
-        )
-        results = supervisor.run(
-            tasks=list(range(5)),
-            worker_fn=lambda t: t * 10,
-            serial_runner=lambda t: t * 10,
-        )
-        return results, stats
-
-    def test_pool_breaking_mid_submit_recovers(self):
-        results, stats = self._run(FaultPolicy(restart_backoff=0.0))
-        assert results == [0, 10, 20, 30, 40]  # every chunk delivered
-        assert stats.worker_crashes == 1
-        assert any(
-            record.kind == "worker-crash" and "submit" in record.where
-            for record in stats.failures
-        )
-
-    def test_pool_breaking_mid_submit_strict_raises(self):
-        with pytest.raises(WorkerCrashError, match="submitting"):
-            self._run(FaultPolicy(strict=True, restart_backoff=0.0))
-
-    def test_retries_exhausted_finishes_serially(self):
-        from repro.engine.supervisor import PoolSupervisor
-
-        stats = EngineStats()
-        supervisor = PoolSupervisor(
-            _FakeExecutor(break_after=0),
-            spawn=lambda: _FakeExecutor(break_after=0),
-            policy=FaultPolicy(restart_backoff=0.0, max_pool_restarts=2),
-            stats=stats,
-        )
-        results = supervisor.run(
-            tasks=list(range(4)),
-            worker_fn=lambda t: t,
-            serial_runner=lambda t: t,
-        )
-        assert results == [0, 1, 2, 3]
-        assert stats.serial_recoveries >= 4
 
 
 class TestRoutineIsolation:

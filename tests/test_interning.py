@@ -3,9 +3,9 @@
 The interning pool must be semantically invisible: equality, hashing,
 term ordering, and pickling behave exactly as an uninterned value type —
 only identity (``is``) is strengthened.  The pickle tests matter most:
-entries cross the parallel builder's process boundary and come back
-through ``__reduce__``, which must re-intern rather than resurrect a
-private (or worse, shared-singleton) instance.
+verdict-store entries are pickled to disk and come back through
+``__reduce__``, which must re-intern rather than resurrect a private
+(or worse, shared-singleton) instance.
 """
 
 import pickle

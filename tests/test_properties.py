@@ -9,6 +9,7 @@ whenever the driver claims it.
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.subscript_by_subscript import (
@@ -16,15 +17,19 @@ from repro.baselines.subscript_by_subscript import (
     test_dependence_power,
     test_dependence_subscript_by_subscript,
 )
+from repro.core.driver import test_dependence
 from repro.fortran.parser import parse_fragment
 from repro.ir.loop import collect_access_sites
 
 from tests.oracle import brute_force_vectors
-from tests.scenarios import backend_test_dependence as test_dependence
 
-# The strongest oracle suite runs once per registered backend (see
-# conftest.py): soundness and exactness are certified per backend.
-apply_backend_scenarios = True
+
+@pytest.fixture(autouse=True, params=["reference"])
+def reference_suite(request):
+    """Tag every test here ``[reference]``: its verdicts come from the
+    scalar reference tests, and the id keeps test names stable."""
+    return request.param
+
 
 subscript_atoms = st.sampled_from(
     ["i", "j", "i+1", "i-1", "j+1", "2*i", "2*i+1", "i+j", "i+j-1",

@@ -779,36 +779,19 @@ class TestProbeOwnership:
         service = DependenceService(config)
         service._open_engine()
         try:
-            clean = {"store": 0, "pool": 0, "syntax": 0}
+            clean = {"store": 0, "syntax": 0}
 
             service.store_breaker.trip()
             assert service.store_breaker.should_probe()  # half-open
             # A concurrent success that never owned the probe (it may
             # not even have touched the store) must not close it...
-            service._settle_breakers(
-                clean, probe_store=False, probe_pool=False
-            )
+            service._settle_breakers(clean, probe_store=False)
             assert service.store_breaker.state == "half-open"
             # ...while the owner's clean outcome does.
             service._probing_store = True
-            service._settle_breakers(
-                clean, probe_store=True, probe_pool=False
-            )
+            service._settle_breakers(clean, probe_store=True)
             assert service.store_breaker.state == "closed"
             assert service._probing_store is False
-
-            service.pool_breaker.trip()
-            assert service.pool_breaker.should_probe()
-            service._settle_breakers(
-                clean, probe_store=False, probe_pool=False
-            )
-            assert service.pool_breaker.state == "half-open"
-            service._probing_pool = True
-            service._settle_breakers(
-                clean, probe_store=False, probe_pool=True
-            )
-            assert service.pool_breaker.state == "closed"
-            assert service._probing_pool is False
         finally:
             engine = service.engine
             assert engine is not None

@@ -1089,27 +1089,6 @@ class TestKillAndResume:
         # ...after which the store verifies clean.
         assert run_cli(["store", "verify", str(db)]).returncode == 0
 
-    def test_parallel_kill_resume(self, kernel_file, tmp_path):
-        """Chunk checkpointing: a killed --jobs run resumes cleanly too."""
-        db = tmp_path / "s.db"
-        killed = run_cli(
-            ["analyze", str(kernel_file), "--store", str(db), "--jobs", "2"],
-            faults=f"store-die:{DIE_MID_RUN}",
-        )
-        assert killed.returncode == 9
-        resumed = run_cli(
-            [
-                "analyze", str(kernel_file),
-                "--store", str(db), "--resume", "--counts", "--jobs", "2",
-            ]
-        )
-        assert resumed.returncode == 0, resumed.stderr[-2000:]
-        fresh = run_cli(["analyze", str(kernel_file), "--counts", "--jobs", "2"])
-        body = resumed.stdout.split("test applications:")[0]
-        _, _, rest = body.partition("\n")
-        fresh_body = fresh.stdout.split("test applications:")[0]
-        assert normalize(rest.lstrip("\n")) == normalize(fresh_body)
-
     def test_two_concurrent_writers_complete(self, kernel_file, tmp_path):
         """Two simultaneous analyze processes sharing one store both
         succeed, and the store stays structurally clean."""
