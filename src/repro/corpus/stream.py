@@ -38,24 +38,69 @@ Robustness rules (the conservative-degradation contract at tree scale):
 Strict mode (``--strict``) turns engine faults into an abort as
 everywhere else; file-level syntax quarantine is input validation, not
 an engine fault, and stays quarantine-and-continue even in strict runs.
+
+Worker pool.  Files are independent, content-tokened units, so a large
+walk analyzes them in spawned worker processes
+(``ProcessPoolExecutor`` over ``multiprocessing.get_context("spawn")``):
+
+* **When** — only with at least two usable CPUs and enough *pending*
+  (not replayed) source to repay worker start-up: one worker per
+  :data:`POOL_MIN_BYTES` of pending source, capped by the CPU count,
+  and no pool unless that comes to two or more.  Anything smaller (a
+  few edited files, the CI gate trees) runs the same functions
+  in-process.
+* **Who does what** — a worker decodes, parses, substitutes scalars,
+  normalizes, builds each routine's graph, finds its parallel loops
+  and renders its report.  The parent keeps everything ordered or
+  durable: the walk, file tokens and wholesale replay, the ``die-file``
+  hook, the report text in walk order, every store write and the
+  per-file checkpoint, pressure checks, the summary and the fault
+  report.  Workers hold no store: per routine they return the text,
+  its degraded flag, quarantine errors, counter deltas and the fresh
+  verdict and plan records their engine computed, and the parent
+  writes those through its store exactly as the in-process path would
+  have.  Kill points, resume grain and store fault handling therefore
+  stay in one process.  A routine the store already holds (a file a
+  killed run left half done) is replayed and the worker's result for
+  it — text, counters, failures and records — is dropped.
+* **Memory** — files are read a bounded window ahead of the one being
+  printed and sent :data:`POOL_BATCH` to a task; results print in walk
+  order, so the tree's results are never buffered.  A worker peaks
+  at 45-50 MiB; ``--max-rss-mb`` applies to every process: workers shed
+  their own caches too.
+* **Counters** — each worker caches separately, so the verdict
+  provenance line sums their caches and counts more pairs ``tested``
+  than an in-process run; the report text is the same.  A tracer that
+  patches functions from outside (``benchmarks/e2e/spans.py``) sees
+  only the parent.
+* **Failure** — a pool that breaks (a worker killed, or workers that
+  cannot start because the caller's ``__main__`` re-runs on import:
+  library callers need an ``if __name__ == "__main__":`` guard) costs
+  one ``"pool"`` failure record, and the parent finishes the walk
+  in-process with byte-identical output.  Workers exit when the parent
+  does, however it dies.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import sys
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from repro.dirvec.vectors import format_vector
 from repro.engine import faultinject
 from repro.engine.checkpoint import run_token
 from repro.engine.engine import DependenceEngine
 from repro.engine.faults import EngineFaultError, FailureRecord, describe_error
-from repro.fortran.errors import FortranSyntaxError
+from repro.engine.profile import PhaseProfile
+from repro.engine.stats import EngineStats
 from repro.fortran.parser import parse_program
 from repro.ir.normalize import normalize_program
 from repro.ir.scalars import substitute_scalars_program
@@ -68,6 +113,21 @@ REPORT_SCHEMA = 1
 
 #: File suffixes the tree walk considers Fortran sources.
 CORPUS_SUFFIXES = (".f", ".f77", ".for")
+
+#: Pending source bytes per pool worker.  Measured on a 2-vCPU VM over
+#: prefixes of the end-to-end benchmark's seed-1 idiom tree (median of 7
+#: alternating fresh-process runs each): in-process analysis costs 4-6 us
+#: per source byte and a spawned pool takes 0.3-0.4 s from creation to
+#: its first result, so two workers lost at 128 KB of pending source
+#: (+13% wall) and won from 192 KB (-9%, -17% at 256 KB, -39% on the
+#: whole 600 KB tree).  Two workers therefore need 256 KB.
+POOL_MIN_BYTES = 128 * 1024
+
+#: Files per pool task (amortizes the per-task round trip).
+POOL_BATCH = 4
+
+#: Files read ahead of the one being printed, per pool worker.
+POOL_WINDOW = 32
 
 
 def walk_tree(root: Path) -> List[PurePosixPath]:
@@ -135,6 +195,69 @@ def render_routine_report(name: str, graph, verdicts) -> str:
     return "\n".join(lines)
 
 
+def parse_source(data: bytes, stem: str):
+    """Decode, parse, substitute scalars in and normalize one file."""
+    return normalize_program(
+        substitute_scalars_program(parse_program(data.decode("utf-8"), name=stem))
+    )
+
+
+class RoutineResult(NamedTuple):
+    """One routine's analysis, wherever it ran."""
+
+    name: str
+    #: The rendered report; None when the routine crashed (quarantine).
+    text: Optional[str]
+    degraded: bool
+    #: The crash, for the quarantine record.
+    error: str = ""
+    #: A worker's counters for this routine, not yet merged.
+    stats: Optional[EngineStats] = None
+    #: A worker's fresh ``(kind, key, value)`` verdict/plan records, not
+    #: yet written.
+    records: Sequence[Tuple] = ()
+    #: A worker's ``--strict`` abort, raised when the parent reaches it.
+    abort: Optional[BaseException] = None
+
+
+class FileResult(NamedTuple):
+    """A pool worker's answer for one file."""
+
+    #: Why the file did not parse (quarantine); empty when it did.
+    error: str
+    routines: List[RoutineResult]
+    #: The worker's ``(rss, shed entries)`` when it was over the watermark.
+    pressure: Optional[Tuple[float, int]] = None
+
+
+def analyze_routine(engine: DependenceEngine, routine) -> RoutineResult:
+    """Build, search and render one routine through ``engine``.
+
+    Engine faults, and any crash under a strict policy, propagate (the
+    CLI turns them into exit 3); other crashes come back as a
+    quarantine result.
+    """
+    stats = engine.stats
+    assumed_before = stats.assumed
+    failures_before = len(stats.failures)
+    try:
+        faultinject.on_routine(routine.name)
+        graph = engine.build_graph(routine.body)
+        verdicts = find_parallel_loops(routine.body, engine.symbols, graph)
+    except EngineFaultError:
+        raise
+    except Exception as exc:
+        if engine.policy.strict:
+            raise  # same contract as `analyze --strict`
+        return RoutineResult(routine.name, None, False, describe_error(exc))
+    degraded = (
+        stats.assumed > assumed_before or len(stats.failures) > failures_before
+    )
+    return RoutineResult(
+        routine.name, render_routine_report(routine.name, graph, verdicts), degraded
+    )
+
+
 @dataclass
 class CorpusStats:
     """Walk-level counters for one streaming run (engine counters live
@@ -150,6 +273,8 @@ class CorpusStats:
     quarantined: int = 0
     pressure_events: int = 0
     shed_entries: int = 0
+    #: Pool workers the walk started (0: it ran in-process).
+    workers: int = 0
     elapsed: float = 0.0
 
     @property
@@ -176,7 +301,8 @@ class CorpusStats:
                 f"corpus: elapsed={self.elapsed:.2f}s "
                 f"throughput={self.throughput:.1f} routines/s "
                 f"skip_rate={self.skip_rate:.2f} "
-                f"pressure_events={self.pressure_events}"
+                f"pressure_events={self.pressure_events} "
+                f"workers={self.workers}"
             ),
         ]
 
@@ -208,6 +334,150 @@ def current_rss_mb() -> Optional[float]:
         return None
 
 
+def relieve_pressure(
+    driver, max_rss_mb: Optional[float]
+) -> Optional[Tuple[float, int]]:
+    """Shed ``driver``'s memory tiers when this process is over the
+    watermark; returns ``(rss, shed entries)`` then, else None."""
+    if max_rss_mb is None:
+        return None
+    rss = current_rss_mb()
+    if rss is None or rss <= max_rss_mb:
+        return None
+    shed = driver.shed_memory()
+    gc.collect()
+    return rss, shed
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# -- the pool worker ----------------------------------------------------------
+
+
+class _FreshRecords:
+    """A pool worker's stand-in for the verdict store.
+
+    The worker's driver writes fresh verdicts and plans through to it as
+    it would to a store; the parent writes them to the real one.  Reads
+    always miss: a worker answers from its own memory tiers.
+    """
+
+    read_only = False
+    events = ()
+
+    def __init__(self):
+        self.records: List[Tuple] = []
+
+    def get(self, key):
+        return None
+
+    def get_plan(self, key):
+        return None
+
+    def put(self, key, entry) -> None:
+        self.records.append(("v", key, entry))
+
+    def put_plan(self, key, plan) -> None:
+        self.records.append(("p", key, plan))
+
+
+class _PoolWorker:
+    """A worker process's engine, rebuilt from the caller's settings."""
+
+    def __init__(self, settings: dict, max_rss_mb: Optional[float]):
+        self.sink = _FreshRecords()
+        self.engine = DependenceEngine(store=self.sink, **settings)
+        self.profile = settings["profile"]
+        self.max_rss_mb = max_rss_mb
+
+    def analyze(self, stem: str, data: bytes) -> FileResult:
+        driver = self.engine.driver
+        try:
+            program = parse_source(data, stem)
+        except Exception as exc:
+            return FileResult(
+                describe_error(exc), [], relieve_pressure(driver, self.max_rss_mb)
+            )
+        routines = []
+        for routine in program.routines:
+            # Counters and records per routine, so the parent can drop a
+            # routine it replays from its store instead.
+            driver.stats = EngineStats(
+                profile=PhaseProfile() if self.profile else None
+            )
+            self.sink.records = []
+            try:
+                result = analyze_routine(self.engine, routine)
+            except Exception as exc:  # --strict: raised when the parent gets here
+                result = RoutineResult(routine.name, None, False, abort=exc)
+            driver.stats.store_writes = 0  # the parent counts its own writes
+            routines.append(
+                result._replace(stats=driver.stats, records=self.sink.records)
+            )
+        return FileResult("", routines, relieve_pressure(driver, self.max_rss_mb))
+
+
+_WORKER: Optional[_PoolWorker] = None
+
+
+def _start_worker(settings: dict, max_rss_mb: Optional[float]) -> None:
+    """Pool initializer: follow the parent out, then build the engine."""
+    import atexit
+    import multiprocessing
+
+    # Exit without tearing the interpreter down: freeing a worker's
+    # caches object by object takes longer than its last batch.  Its
+    # results are sent by then and it holds no store.
+    atexit.register(os._exit, 0)
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+    global _WORKER
+    _WORKER = _PoolWorker(settings, max_rss_mb)
+
+
+def _exit_with_parent(sentinel: int) -> None:
+    # A worker blocks on a call-queue pipe whose write end it holds
+    # itself, so it never sees EOF there; the parent's sentinel closes
+    # whenever the parent dies, including by os._exit or SIGKILL.
+    from multiprocessing.connection import wait
+
+    wait([sentinel])
+    os._exit(1)
+
+
+def _analyze_files(jobs: List[Tuple[str, bytes]]) -> List[FileResult]:
+    """Pool task: analyze a batch of ``(stem, source bytes)`` files."""
+    return [_WORKER.analyze(stem, data) for stem, data in jobs]
+
+
+# -- the walk -------------------------------------------------------------------
+
+
+class _FileJob:
+    """One walked file, read ahead of its turn to print."""
+
+    __slots__ = ("rel", "data", "error", "ftoken", "future", "slot")
+
+    def __init__(self, rel: PurePosixPath):
+        self.rel = rel
+        #: Source bytes; None when unreadable or expected to replay.
+        self.data: Optional[bytes] = None
+        self.error: Optional[str] = None
+        self.ftoken = ""
+        #: The pool task analyzing it, and its index in that batch.
+        self.future = None
+        self.slot = 0
+
+
 class StreamingCorpusRunner:
     """One streaming pass over a source tree (see module docstring).
 
@@ -234,6 +504,15 @@ class StreamingCorpusRunner:
         self.max_rss_mb = max_rss_mb
         self.stats = CorpusStats()
         self._pressure_reported = False
+        self._walk = iter(())
+        #: Files read ahead of the one printing, in walk order.
+        self._ahead: "deque[_FileJob]" = deque()
+        self._pool = None
+        self._window = 0
+        #: Pending files not yet sent to the pool.
+        self._batch: List[_FileJob] = []
+        #: The last worker's pressure reading, for :meth:`_check_pressure`.
+        self._worker_relief: Optional[Tuple[float, int]] = None
 
     # -- store plumbing --------------------------------------------------
     #
@@ -273,6 +552,21 @@ class StreamingCorpusRunner:
             self.engine.driver._degrade_store(exc)
         self.engine.driver.drain_store_events()
 
+    def _write_records(self, records: Sequence[Tuple]) -> None:
+        """Write a worker's fresh records through this process's store,
+        skipping any the store already holds, as an in-process lookup
+        would have found them."""
+        driver = self.engine.driver
+        for kind, key, value in records:
+            store = driver.persist
+            if store is None or store.read_only:
+                return
+            if kind == "v":
+                if store.get(key) is None:
+                    driver._persist_entry(key, value)
+            elif store.get_plan(key) is None:
+                driver._persist_plan(key, value)
+
     # -- fault isolation -------------------------------------------------
 
     def _quarantine_file(self, rel: PurePosixPath, error: str) -> None:
@@ -281,22 +575,26 @@ class StreamingCorpusRunner:
             FailureRecord("file", rel.as_posix(), error)
         )
 
-    def _quarantine_routine(self, rel: PurePosixPath, name: str, exc: Exception) -> None:
+    def _quarantine_routine(self, rel: PurePosixPath, name: str, error: str) -> None:
         self.stats.quarantined += 1
         self.engine.stats.record_failure(
-            FailureRecord(
-                "routine", f"{rel.as_posix()}:{name}", describe_error(exc)
-            )
+            FailureRecord("routine", f"{rel.as_posix()}:{name}", error)
         )
 
     def _check_pressure(self, rel: PurePosixPath) -> None:
-        if self.max_rss_mb is None:
+        readings = [
+            reading
+            for reading in (
+                relieve_pressure(self.engine.driver, self.max_rss_mb),
+                self._worker_relief,
+            )
+            if reading is not None
+        ]
+        self._worker_relief = None
+        if not readings:
             return
-        rss = current_rss_mb()
-        if rss is None or rss <= self.max_rss_mb:
-            return
-        shed = self.engine.driver.shed_memory()
-        gc.collect()
+        rss = max(mb for mb, _ in readings)
+        shed = sum(entries for _, entries in readings)
         self.stats.pressure_events += 1
         self.stats.shed_entries += shed
         if not self._pressure_reported:
@@ -319,69 +617,102 @@ class StreamingCorpusRunner:
         start = time.perf_counter()
         files = walk_tree(self.root)
         self.stats.files = len(files)
-        for rel in files:
-            faultinject.on_corpus_file(rel.as_posix())
-            self.out.write(f"== file {rel.as_posix()} ==\n")
-            self._run_file(rel)
-            self._checkpoint()
-            self._check_pressure(rel)
+        self._walk = iter(files)
+        self._start_pool()
+        try:
+            for rel in files:
+                faultinject.on_corpus_file(rel.as_posix())
+                self.out.write(f"== file {rel.as_posix()} ==\n")
+                self._run_file(rel)
+                self._checkpoint()
+                self._check_pressure(rel)
+        finally:
+            self._stop_pool()
         self.stats.elapsed = time.perf_counter() - start
         return self.stats
 
     def _run_file(self, rel: PurePosixPath) -> None:
-        path = self.root / Path(rel)
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            self._quarantine_file(rel, describe_error(exc))
+        job = self._take()
+        if job.error is None and self._replay_file(job.ftoken):
             return
+        if job.error is None and job.data is None:
+            job = self._read(rel)  # read ahead as a replay that no longer holds
+        if job.error is not None:
+            self._quarantine_file(rel, job.error)
+            return
+        result = self._worker_result(job)
+        if result is None:
+            try:
+                program = parse_source(job.data, rel.stem)
+            except Exception as exc:
+                self._quarantine_file(rel, describe_error(exc))
+                return
+            routines = program.routines
+            names = [routine.name for routine in routines]
 
-        ftoken = file_token(data)
-        if self._replay_file(ftoken):
-            return
+            def analyzed(ordinal: int) -> RoutineResult:
+                return analyze_routine(self.engine, routines[ordinal])
 
-        try:
-            source = data.decode("utf-8")
-            program = normalize_program(
-                substitute_scalars_program(
-                    parse_program(source, name=path.stem)
-                )
-            )
-        except (FortranSyntaxError, UnicodeDecodeError) as exc:
-            self._quarantine_file(rel, describe_error(exc))
-            return
-        except Exception as exc:
-            self._quarantine_file(rel, describe_error(exc))
-            return
+        else:
+            self._worker_relief = result.pressure
+            if result.error:
+                self._quarantine_file(rel, result.error)
+                return
+            names = [routine.name for routine in result.routines]
 
-        digest = hashlib.sha256(data).hexdigest()
+            def analyzed(ordinal: int) -> RoutineResult:
+                return self._absorb(result.routines[ordinal])
+
+        self._emit_routines(rel, job, names, analyzed)
+
+    def _emit_routines(
+        self, rel: PurePosixPath, job: _FileJob, names, analyzed
+    ) -> None:
+        """Print one file's routines in order: stored ones from the store,
+        the rest from ``analyzed(ordinal)``, which is only asked for
+        routines the store does not hold."""
+        digest = hashlib.sha256(job.data).hexdigest()
         tokens: List[str] = []
         clean = True
-        for ordinal, routine in enumerate(program.routines):
+        for ordinal, name in enumerate(names):
             self.stats.routines += 1
-            rtoken = routine_token(digest, ordinal, routine.name)
+            rtoken = routine_token(digest, ordinal, name)
             cached = self._get_report(rtoken)
             if isinstance(cached, str):
                 self.out.write(cached)
                 self.stats.skipped += 1
                 tokens.append(rtoken)
                 continue
-            rendered = self._analyze_routine(rel, routine)
-            if rendered is None:
+            result = analyzed(ordinal)
+            if result.text is None:
+                self._quarantine_routine(rel, name, result.error)
                 clean = False
                 continue
-            text, degraded = rendered
-            self.out.write(text)
+            self.out.write(result.text)
             self.stats.analyzed += 1
-            if degraded:
+            if result.degraded:
                 clean = False
             else:
-                self._put_report(rtoken, text)
+                self._put_report(rtoken, result.text)
                 tokens.append(rtoken)
         # The file record is the wholesale-skip fast path; withhold it
         # unless every routine produced a healthy, persisted report.
-        if clean and tokens and len(tokens) == len(program.routines):
-            self._put_report(ftoken, {"routines": tokens})
+        if clean and tokens and len(tokens) == len(names):
+            self._put_report(job.ftoken, {"routines": tokens})
+
+    def _absorb(self, result: RoutineResult) -> RoutineResult:
+        """Take over a worker's routine: its counters, its fresh records
+        and its abort.  A store write failing here degrades the report,
+        as it would have during in-process analysis."""
+        stats = self.engine.stats
+        stats.merge(result.stats)
+        failures_before = len(stats.failures)
+        self._write_records(result.records)
+        if result.abort is not None:
+            raise result.abort
+        if len(stats.failures) > failures_before:
+            return result._replace(degraded=True)
+        return result
 
     def _replay_file(self, ftoken: str) -> bool:
         """Emit a whole unchanged file from its stored reports."""
@@ -401,30 +732,144 @@ class StreamingCorpusRunner:
         self.stats.skipped += len(texts)
         return True
 
-    def _analyze_routine(
-        self, rel: PurePosixPath, routine
-    ) -> Optional[Tuple[str, bool]]:
-        stats = self.engine.stats
-        assumed_before = stats.assumed
-        failures_before = len(stats.failures)
+    # -- reading ahead and the pool ----------------------------------------
+
+    def _read(self, rel: PurePosixPath) -> _FileJob:
+        job = _FileJob(rel)
         try:
-            faultinject.on_routine(routine.name)
-            graph = self.engine.build_graph(routine.body)
-            verdicts = find_parallel_loops(
-                routine.body, self.engine.symbols, graph
-            )
-        except EngineFaultError:
-            raise  # strict mode: the CLI turns this into exit 3
-        except Exception as exc:
-            if self.engine.policy.strict:
-                raise  # same contract as `analyze --strict`
-            self._quarantine_routine(rel, routine.name, exc)
+            job.data = (self.root / Path(rel)).read_bytes()
+        except OSError as exc:
+            job.error = describe_error(exc)
+        else:
+            job.ftoken = file_token(job.data)
+        return job
+
+    def _scan(self) -> Optional[_FileJob]:
+        """Read the next walked file ahead of its turn (None: walk done)."""
+        rel = next(self._walk, None)
+        if rel is None:
             return None
-        degraded = (
-            stats.assumed > assumed_before
-            or len(stats.failures) > failures_before
+        job = self._read(rel)
+        self._ahead.append(job)
+        return job
+
+    def _pending(self, job: _FileJob) -> bool:
+        """Whether a file read ahead needs analysis.  A file with a stored
+        file record is expected to replay and keeps only its token, so
+        reading ahead over a warm tree holds no source."""
+        if job.error is None and not isinstance(self._get_report(job.ftoken), dict):
+            return True
+        job.data = None
+        return False
+
+    def _take(self) -> _FileJob:
+        """The next file in walk order, read now or earlier."""
+        if self._pool is not None:
+            self._fill()
+        if not self._ahead:
+            self._scan()
+        job = self._ahead.popleft()
+        if self._batch and self._batch[0] is job:
+            self._submit()
+        return job
+
+    def _start_pool(self) -> None:
+        """Start the worker pool when the pending source repays it.
+
+        Reads ahead until the pending bytes would occupy every usable
+        CPU or the walk ends; a smaller walk keeps what it read for the
+        in-process path.
+        """
+        cpus = usable_cpus()
+        if cpus < 2:
+            return
+        pending: List[_FileJob] = []
+        size = 0
+        while size < cpus * POOL_MIN_BYTES:
+            job = self._scan()
+            if job is None:
+                break
+            if self._pending(job):
+                pending.append(job)
+                size += len(job.data)
+        workers = min(cpus, size // POOL_MIN_BYTES)
+        if workers < 2:
+            return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_start_worker,
+            initargs=(self.engine.settings(), self.max_rss_mb),
         )
-        return render_routine_report(routine.name, graph, verdicts), degraded
+        self.stats.workers = workers
+        self._window = POOL_WINDOW * workers
+        for job in pending:
+            self._queue(job)
+        self._submit()
+
+    def _fill(self) -> None:
+        """Read ahead up to the window, queuing pending files."""
+        while len(self._ahead) < self._window:
+            job = self._scan()
+            if job is None:
+                self._submit()  # the walk is done: send the last batch
+                return
+            if self._pending(job):
+                self._queue(job)
+
+    def _queue(self, job: _FileJob) -> None:
+        self._batch.append(job)
+        if len(self._batch) >= POOL_BATCH:
+            self._submit()
+
+    def _submit(self) -> None:
+        batch, self._batch = self._batch, []
+        if not batch or self._pool is None:
+            return
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            future = self._pool.submit(
+                _analyze_files, [(job.rel.stem, job.data) for job in batch]
+            )
+        except BrokenProcessPool as exc:
+            self._break_pool(batch[0].rel, exc)
+            return
+        for slot, job in enumerate(batch):
+            job.future, job.slot = future, slot
+
+    def _worker_result(self, job: _FileJob) -> Optional[FileResult]:
+        """The pool's answer for ``job`` (None: analyze it in-process)."""
+        if job.future is None:
+            return None
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return job.future.result()[job.slot]
+        except BrokenProcessPool as exc:
+            self._break_pool(job.rel, exc)
+            return None
+
+    def _break_pool(self, rel: PurePosixPath, exc: BaseException) -> None:
+        """Record a broken pool once and finish the walk in-process."""
+        self.engine.stats.record_failure(
+            FailureRecord(
+                "pool",
+                f"corpus:{rel.as_posix()}",
+                f"{describe_error(exc)}; finished the walk in-process",
+            )
+        )
+        self._stop_pool()
+        for job in self._ahead:
+            job.future = None
+
+    def _stop_pool(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def stream_corpus(

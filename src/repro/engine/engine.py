@@ -86,6 +86,21 @@ class DependenceEngine:
         """The persistent verdict store, when one is attached (live)."""
         return self.driver.persist
 
+    def settings(self) -> dict:
+        """Constructor arguments that rebuild this engine's analysis in
+        another process: everything but the store and checkpoint log,
+        which stay with their owner (``corpus run`` pool workers)."""
+        driver = self.driver
+        return {
+            "symbols": self.symbols,
+            "cache_size": driver.capacity,
+            "use_cache": self.use_cache,
+            "delta_options": driver.delta_options,
+            "plan_capacity": driver.plan_capacity,
+            "profile": self.profile is not None,
+            "policy": driver.policy,
+        }
+
     def close(self) -> None:
         """Flush the store (not closing it).
 

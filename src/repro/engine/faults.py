@@ -40,7 +40,12 @@ BUDGET_ENV_VAR = "REPRO_PAIR_BUDGET"
 
 
 class EngineFaultError(Exception):
-    """Base class of every fault the engine can convert to degradation."""
+    """Base class of every fault the engine can convert to degradation.
+
+    Subclasses that take constructor arguments other than the message
+    define ``__reduce__`` to rebuild from them: a ``--strict`` abort
+    raised in a ``corpus run`` pool worker reaches the parent pickled.
+    """
 
 
 class PairTestError(EngineFaultError):
@@ -55,6 +60,9 @@ class PairTestError(EngineFaultError):
         self.where = where
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.where, self.reason)
+
 
 class BudgetExceededError(EngineFaultError):
     """A pair exhausted its step budget mid-test."""
@@ -62,6 +70,9 @@ class BudgetExceededError(EngineFaultError):
     def __init__(self, limit: int):
         super().__init__(f"step budget of {limit} exhausted")
         self.limit = limit
+
+    def __reduce__(self):
+        return type(self), (self.limit,)
 
 
 class DeadlineExceededError(EngineFaultError):
@@ -77,6 +88,9 @@ class DeadlineExceededError(EngineFaultError):
     def __init__(self, seconds: float):
         super().__init__(f"deadline of {seconds:.3f}s exceeded")
         self.seconds = seconds
+
+    def __reduce__(self):
+        return type(self), (self.seconds,)
 
 
 class Deadline:
@@ -163,8 +177,9 @@ class FailureRecord:
     ``kind`` is the failure class — ``"pair"`` (an in-test exception),
     ``"budget"`` (step budget exhausted), ``"deadline"`` (a request's
     wall-clock deadline expired mid-test), ``"routine"`` (a whole routine
-    skipped), or ``"store"`` (a persistent-store write failed and the run
-    degraded to memory-only caching).
+    skipped), ``"store"`` (a persistent-store write failed and the run
+    degraded to memory-only caching), or ``"pool"`` (a ``corpus run``
+    worker pool broke and the walk finished in-process).
     ``where`` locates it (pair description or suite/program/routine
     path); ``error`` is the stringified cause; ``attempts`` counts how
     many tries were spent before the work was given up.

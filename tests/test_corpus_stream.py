@@ -9,20 +9,30 @@ isolation (malformed files and crashed routines quarantine without
 stopping the walk; strict mode aborts instead), backpressure (RSS
 watermark shedding, store-rejection degradation), the
 ``resume_summary`` banner against a sharded store with sibling-writer
-records, kill-at-file-boundary resume, and the ``corpus run`` CLI.
+records, kill-at-file-boundary and mid-file resume, and the ``corpus
+run`` CLI.
+
+The walk runs two ways — in-process, or through the spawned worker pool
+— so the ``...Pooled`` subclasses rerun those classes with the pool
+forced on (:func:`force_pool`), and ``TestPool`` covers what only
+the pool has: worker death, a pool that cannot start, faults crossing
+the process boundary.
 """
 
 import os
+import shutil
 import subprocess
 import sys
+import time
+import uuid
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.corpus import synthesize_corpus_tree
-from repro.corpus.loader import default_symbols
+from repro.corpus import stream, synthesize_corpus_tree
+from repro.corpus.loader import KERNEL_ROOT, default_symbols
 from repro.corpus.stream import (
     StreamingCorpusRunner,
     current_rss_mb,
@@ -31,6 +41,7 @@ from repro.corpus.stream import (
     stream_corpus,
     walk_tree,
 )
+from repro.delta.delta import DeltaOptions
 from repro.engine import (
     CheckpointLog,
     DependenceEngine,
@@ -38,8 +49,38 @@ from repro.engine import (
     VerdictStore,
 )
 from repro.engine.faultinject import InjectedFaultError
+from repro.engine.store import CHECKPOINT_INTERVAL, _scan_segment_file
 
 SRC_DIR = str(Path(__file__).parent.parent / "src")
+
+#: How :func:`run_cli` starts the CLI: ``python -m repro``, or (after
+#: :func:`force_pool`) the same CLI with the pool forced on.
+CLI = ["-m", "repro"]
+POOLED_CLI = [
+    "-c",
+    "import sys\n"
+    "from repro.corpus import stream\n"
+    "stream.POOL_MIN_BYTES = 1\n"
+    "stream.usable_cpus = lambda: 2\n"
+    "from repro.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n",
+]
+
+
+def force_pool(monkeypatch):
+    """Send every later walk of the test through a two-worker pool: the
+    parent decides, so lowering its threshold is enough."""
+    monkeypatch.setattr(stream, "POOL_MIN_BYTES", 1)
+    monkeypatch.setattr(stream, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sys.modules[__name__], "CLI", POOLED_CLI)
+
+
+class Pooled:
+    """Mixin: rerun a test class's tests through the worker pool."""
+
+    @pytest.fixture(autouse=True)
+    def _through_the_pool(self, monkeypatch):
+        force_pool(monkeypatch)
 
 
 def subprocess_env(faults=None, marker=None):
@@ -54,12 +95,12 @@ def subprocess_env(faults=None, marker=None):
     return env
 
 
-def run_cli(args, *, faults=None, marker=None, timeout=600):
+def run_cli(args, *, faults=None, marker=None, timeout=600, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *CLI, *args],
         capture_output=True,
         text=True,
-        env=subprocess_env(faults, marker),
+        env=dict(subprocess_env(faults, marker), **(env or {})),
         timeout=timeout,
     )
 
@@ -69,13 +110,17 @@ def make_tree(root, files=4, seed=11):
     return Path(root)
 
 
-def run_stream(tree, store_path=None, shards=None, strict=False, **kwargs):
-    """One in-process streaming pass; returns (text, corpus stats, engine)."""
+def run_stream(
+    tree, store_path=None, shards=None, strict=False, engine_options=None, **kwargs
+):
+    """One streaming pass from this process (in-process, or the pool
+    after :func:`force_pool`); returns (text, corpus stats, engine)."""
     store = VerdictStore(store_path, shards=shards) if store_path else None
     engine = DependenceEngine(
         symbols=default_symbols(),
         policy=FaultPolicy.from_env(strict=strict),
         store=store,
+        **(engine_options or {}),
     )
     out = StringIO()
     try:
@@ -162,6 +207,21 @@ class TestIncremental:
         text, stats, _ = run_stream(empty)
         assert text == ""
         assert stats.files == stats.routines == 0
+
+    def test_non_default_engine_gives_the_in_process_report(
+        self, tmp_path, monkeypatch
+    ):
+        tree = make_tree(tmp_path / "t", files=2)
+        shutil.copyfile(KERNEL_ROOT / "cdl" / "linear.f", tree / "linear.f")
+        options = {"delta_options": DeltaOptions(rdiv_links=False)}
+        text, stats, _ = run_stream(tree, engine_options=options)
+        default, _, _ = run_stream(tree)
+        assert text != default  # the option changes this tree's answers
+        monkeypatch.setattr(stream, "usable_cpus", lambda: 1)
+        in_process, in_stats, _ = run_stream(tree, engine_options=options)
+        assert in_stats.workers == 0
+        assert text == in_process
+        assert stats.analyzed == in_stats.analyzed == stats.routines
 
 
 class TestFaultIsolation:
@@ -377,6 +437,40 @@ class TestKillResume:
         assert warm.stdout == cold.stdout
         assert "skip_rate=1.00" in warm.stderr
 
+    def test_mid_file_kill_resumes_from_the_stored_routines(self, tmp_path):
+        tree = tmp_path / "t"
+        synthesize_corpus_tree(tree, files=3, routines_per_file=70, seed=11)
+        run = ["corpus", "run", str(tree), "--store-shards", "1", "--store"]
+        reference = run_cli(["corpus", "run", str(tree)])
+        assert reference.returncode == 0
+        # A single-shard store appends every record to one segment, in
+        # order.  The store checkpoints itself every CHECKPOINT_INTERVAL
+        # records, so the second file's first records are flushed before
+        # its last ones: die at the first append after that flush.
+        clean = tmp_path / "clean.rvs"
+        assert run_cli([*run, str(clean)]).returncode == 0
+        _, records = _scan_segment_file(clean / "shard-000.seg", "0")
+        first_file = next(
+            i for i, record in enumerate(records)
+            if record[0] == "d" and isinstance(record[2], dict)
+        )
+        kill_at = first_file + 1 + CHECKPOINT_INTERVAL + 1
+        store = tmp_path / "s.rvs"
+        marker = tmp_path / "killed"
+        killed = run_cli(
+            [*run, str(store)], faults=f"store-die:{kill_at}", marker=marker
+        )
+        assert killed.returncode == 9
+        assert marker.exists()
+        resumed = run_cli([*run, str(store)])
+        assert resumed.returncode == 0
+        assert resumed.stdout == reference.stdout
+        # the first file replays whole, the second partly
+        assert "replayed=1 " in resumed.stderr
+        skipped = int(resumed.stderr.split(" skipped=")[1].split()[0])
+        assert 70 < skipped < 140
+        assert VerdictStore.scan(store).clean
+
 
 class TestCorpusCLI:
     def test_bare_corpus_and_list_still_enumerate_suites(self, capsys):
@@ -442,3 +536,130 @@ class TestCorpusCLI:
         out = capsys.readouterr().out
         assert "reclaimed" in out
         assert "shard 0:" in out
+
+
+class TestIncrementalPooled(Pooled, TestIncremental):
+    def test_pool_prints_and_writes_what_in_process_does(
+        self, tmp_path, monkeypatch
+    ):
+        tree = make_tree(tmp_path / "t", files=6)
+        text, stats, engine = run_stream(tree, tmp_path / "pool.rvs", shards=1)
+        assert stats.workers == 2
+        monkeypatch.setattr(stream, "usable_cpus", lambda: 1)
+        serial, serial_stats, serial_engine = run_stream(
+            tree, tmp_path / "serial.rvs", shards=1
+        )
+        assert serial_stats.workers == 0
+        assert text == serial
+        for name in ("files", "files_replayed", "routines", "analyzed", "skipped"):
+            assert getattr(stats, name) == getattr(serial_stats, name)
+        assert engine.stats.store_writes == serial_engine.stats.store_writes
+
+        # the parent writes the workers' records in the in-process order
+        def appended(store):
+            _, records = _scan_segment_file(store / "shard-000.seg", "0")
+            return [record[:2] for record in records]
+
+        assert appended(tmp_path / "pool.rvs") == appended(tmp_path / "serial.rvs")
+
+
+class TestFaultIsolationPooled(Pooled, TestFaultIsolation):
+    pass
+
+
+class TestKillResumePooled(Pooled, TestKillResume):
+    pass
+
+
+def processes_tagged(tag: bytes):
+    """PIDs of live processes whose environment holds ``tag``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if tag in (entry / "environ").read_bytes():
+                    found.append(int(entry.name))
+            except OSError:
+                pass  # gone, or not ours
+    return found
+
+
+#: A library caller without a ``__main__`` guard: each spawned worker
+#: re-runs it on import, cannot start a pool of its own, and dies.
+UNGUARDED = """
+import sys
+from repro.corpus import stream
+stream.POOL_MIN_BYTES = 1
+stream.usable_cpus = lambda: 2
+from repro.cli import main
+sys.exit(main(["corpus", "run", sys.argv[1]]))
+"""
+
+
+class TestPool:
+    def test_gate_sized_trees_stay_in_process(self, tmp_path):
+        tree = tmp_path / "t"
+        synthesize_corpus_tree(tree, files=8, routines_per_file=3, seed=1)
+        _, stats, _ = run_stream(tree)
+        assert stats.workers == 0
+
+    def test_strict_abort_crosses_the_pool_intact(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        tree = make_tree(tmp_path / "t", files=4)
+        monkeypatch.setenv("REPRO_FAULTS", "pair-error:a")
+        assert main(["corpus", "run", str(tree), "--strict"]) == 3
+        serial = capsys.readouterr()
+        force_pool(monkeypatch)
+        assert main(["corpus", "run", str(tree), "--strict"]) == 3
+        pooled = capsys.readouterr()
+        assert "aborted by --strict: dependence test failed for" in serial.err
+        assert pooled.err == serial.err
+        assert pooled.out == serial.out  # up to the same routine
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/environ").exists(), reason="needs /proc"
+    )
+    def test_workers_exit_with_a_killed_parent(self, tmp_path, monkeypatch):
+        force_pool(monkeypatch)
+        tree = make_tree(tmp_path / "t", files=8)
+        tag = uuid.uuid4().hex
+        env = dict(subprocess_env("die-file:6"), REPRO_TEST_TAG=tag)
+        proc = subprocess.Popen(
+            [sys.executable, *CLI, "corpus", "run", str(tree)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        seen = set()
+        deadline = time.monotonic() + 120
+        while proc.poll() is None and time.monotonic() < deadline:
+            seen.update(processes_tagged(tag.encode()))
+            time.sleep(0.01)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 9
+        assert len(seen - {proc.pid}) >= 2  # workers and the tracker ran
+        deadline = time.monotonic() + 10
+        while processes_tagged(tag.encode()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert processes_tagged(tag.encode()) == []
+
+    def test_a_pool_that_cannot_start_finishes_in_process(self, tmp_path):
+        tree = make_tree(tmp_path / "t", files=4)
+        reference = run_cli(["corpus", "run", str(tree)])
+        script = tmp_path / "unguarded.py"
+        script.write_text(UNGUARDED)
+        broken = subprocess.run(
+            [sys.executable, str(script), str(tree)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=600,
+        )
+        assert broken.returncode == 0, broken.stderr
+        assert broken.stdout == reference.stdout
+        assert broken.stderr.count("[pool] ") == 1
+        assert "BrokenProcessPool" in broken.stderr
+        assert "workers=2" in broken.stderr

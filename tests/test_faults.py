@@ -9,12 +9,16 @@ independence.  Faults are injected deterministically through
 :mod:`repro.engine.faultinject` (the ``REPRO_FAULTS`` hook).
 """
 
+import pickle
+
 import pytest
 
 from repro.engine import (
     BudgetExceededError,
     CachedDriver,
+    DeadlineExceededError,
     DependenceEngine,
+    EngineFaultError,
     FailureRecord,
     FaultPolicy,
     PairTestError,
@@ -128,6 +132,36 @@ class TestFailureReporting:
         b.assumed = 2
         a.merge(b)
         assert len(a.failures) == 1 and a.assumed == 2
+
+
+def _fault_classes(base=EngineFaultError):
+    found = {base}
+    for sub in base.__subclasses__():
+        found |= _fault_classes(sub)
+    return found
+
+
+class TestFaultPickling:
+    """A --strict abort raised in a corpus pool worker reaches the parent
+    pickled; it must arrive as the same error."""
+
+    ERRORS = [
+        EngineFaultError("engine fault"),
+        PairTestError("a -> b", "boom"),
+        BudgetExceededError(10),
+        DeadlineExceededError(1.5),
+    ]
+
+    def test_every_fault_class_is_covered(self):
+        assert {type(error) for error in self.ERRORS} == _fault_classes()
+
+    @pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+    def test_round_trip_keeps_type_message_and_fields(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert copy.args == error.args
+        assert vars(copy) == vars(error)
 
 
 class TestBudgetDegradation:
