@@ -163,7 +163,7 @@ def main(argv=None):
         scan = VerdictStore.scan(db)
         size = scan.size
         with VerdictStore(db) as store:
-            verdicts, plans = len(store), store.plan_count
+            verdicts = len(store)
 
         replay_stats = {}
 
@@ -214,7 +214,6 @@ def main(argv=None):
         "replay_speedup": round(memory_s / replay_s, 2) if replay_s else None,
         "store_bytes": size,
         "verdicts": verdicts,
-        "plans": plans,
         "bytes_per_verdict": round(size / verdicts, 1) if verdicts else None,
         "replay_store_hits": replay_stats.get("store_hits", 0),
         "replay_hit_rate": replay_hit_rate,
@@ -230,7 +229,7 @@ def main(argv=None):
         f"({overhead:+.1%} write-through overhead)  "
         f"replay {report['store_replay_s']}s "
         f"({report['replay_speedup']}x)  "
-        f"{size} bytes for {verdicts} verdicts + {plans} plans",
+        f"{size} bytes for {verdicts} verdicts",
         flush=True,
     )
     print(

@@ -221,7 +221,7 @@ def main(argv=None):
         survivors = VerdictStore.scan(db)
         print(
             f"killed run left {survivors.size} bytes: {survivors.verdicts} "
-            f"verdict(s), {survivors.plans} plan(s) durable"
+            f"verdict(s) durable"
         )
 
         # -- resume phase ----------------------------------------------

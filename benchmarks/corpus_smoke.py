@@ -15,7 +15,7 @@ stays incremental, over a synthetic multi-file tree:
    that file's routines and nothing else, and the output must be
    byte-identical to a cold run over the edited tree;
 4. **compact** — ``store compact`` must shrink the store measurably
-   (delta-compressed plan/report groups), and a post-compaction run
+   (delta-compressed report groups), and a post-compaction run
    must still skip everything with byte-identical output.
 
 Exits non-zero on any violation.

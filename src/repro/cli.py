@@ -11,8 +11,8 @@ Subcommands:
   directory tree: per-routine content tokens skip unchanged work, a
   killed run resumes where it left off, and malformed files or crashed
   routines quarantine without stopping the walk.
-* ``store {info,verify,compact,migrate}`` — inspect, check, compact, or
-  upgrade a persistent verdict store created with ``--store``.
+* ``store {info,verify,compact}`` — inspect, check, or compact a
+  persistent verdict store created with ``--store``.
 
 ``analyze`` and ``study`` accept ``--store PATH`` (write-through
 crash-safe verdict persistence; format v2 stores are shard directories
@@ -20,19 +20,19 @@ that any number of concurrent processes may share — ``--store-shards``
 sets the shard count at creation) and ``--resume`` (continue a killed
 ``--store`` run from its last checkpoint; previously tested pairs are
 served from the store and the output is byte-identical to an
-uninterrupted run).  A legacy v1 single-file store opens read-only;
-``store migrate`` upgrades it in place.
+uninterrupted run).  A ``--store`` path that exists but is not a store
+directory is refused (exit 4) and left untouched.
 
 Exit codes: 0 — success (including degraded runs that assumed some
 verdicts after absorbed faults; a fault report is printed); 1 — input
 file unreadable; 2 — Fortran syntax error (a diagnostic with line,
 column, and caret is printed, never a traceback) or bad command line;
 3 — ``--strict`` run aborted on the first engine fault; 4 — verdict
-store unusable (unreadable path, failed migrate) or ``store verify``
-found unrecoverable corruption.  Shard-scoped store failures (lock
-starvation, one corrupt segment) do *not* change the exit code: the
-affected shard is quarantined, the run continues memory-only for those
-keys, and the fault report says so.
+store unusable (unreadable path, or a file that is not a store
+directory) or ``store verify`` found unrecoverable corruption.
+Shard-scoped store failures (lock starvation, one corrupt segment) do
+*not* change the exit code: the affected shard is quarantined, the run
+continues memory-only for those keys, and the fault report says so.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.engine import (
     FaultPolicy,
     StoreError,
     VerdictStore,
-    migrate_store,
     run_token,
 )
 from repro.engine.faults import FailureRecord
@@ -110,7 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     analyze.add_argument(
         "--store", type=Path, default=None, metavar="PATH",
-        help="persist verdicts and test plans to a crash-safe store at "
+        help="persist verdicts to a crash-safe store at "
         "PATH (created if missing; reused entries skip re-testing)",
     )
     analyze.add_argument(
@@ -134,7 +133,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     study.add_argument(
         "--store", type=Path, default=None, metavar="PATH",
-        help="persist verdicts and test plans to a crash-safe store at "
+        help="persist verdicts to a crash-safe store at "
         "PATH (created if missing; reused entries skip re-testing)",
     )
     study.add_argument(
@@ -257,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     corpus_run.add_argument(
         "--compact", action="store_true",
         help="compact the store after the walk (delta-compresses "
-        "near-identical plan/report records per shard)",
+        "near-identical report records per shard)",
     )
 
     store = sub.add_parser(
@@ -272,15 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("compact", "rewrite every shard, dropping superseded records"),
     ):
         store_sub.add_parser(name, help=text).add_argument("path", type=Path)
-    migrate = store_sub.add_parser(
-        "migrate", help="upgrade a legacy v1 store file to a v2 shard "
-        "directory in place"
-    )
-    migrate.add_argument("path", type=Path)
-    migrate.add_argument(
-        "--shards", type=int, default=DEFAULT_SHARDS, metavar="N",
-        help=f"shard count for the upgraded store (default {DEFAULT_SHARDS})",
-    )
 
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and getattr(args, "store", None) is None:
@@ -342,26 +332,18 @@ def _open_store(
 ) -> Optional[VerdictStore]:
     """Open (or create) a verdict store; on failure print and return None.
 
-    Unreadable paths and I/O errors surface as one clean diagnostic —
-    the caller maps None to :data:`EXIT_STORE_ERROR`.  Corrupt tails and
-    schema mismatches do *not* fail: the store recovers them per shard
-    on open (printing what it dropped) by design, and lock contention
-    quarantines the contended shard rather than failing the run.  A
-    legacy v1 file opens read-only with a migration hint.
+    Unreadable paths, an existing file that is not a store directory
+    and I/O errors surface as one clean diagnostic — the caller maps
+    None to :data:`EXIT_STORE_ERROR`.  Corrupt tails and schema
+    mismatches do *not* fail: the store recovers them per shard on open
+    (printing what it dropped) by design, and lock contention
+    quarantines the contended shard rather than failing the run.
     """
     try:
-        store = VerdictStore(path, shards=shards)
+        return VerdictStore(path, shards=shards)
     except (StoreError, OSError, ValueError) as exc:
         print(f"repro-deps: cannot open store '{path}': {exc}", file=sys.stderr)
         return None
-    if store.read_only:
-        print(
-            f"repro-deps: store '{path}' is a legacy v1 file; serving "
-            "reads only (no new verdicts persisted). Run "
-            f"`repro-deps store migrate {path}` to upgrade it.",
-            file=sys.stderr,
-        )
-    return store
 
 
 def _attach_checkpoint(
@@ -376,19 +358,8 @@ def _attach_checkpoint(
 
 
 def _store(args: argparse.Namespace) -> int:
-    """``repro-deps store {info,verify,compact,migrate}`` dispatcher."""
+    """``repro-deps store {info,verify,compact}`` dispatcher."""
     path: Path = args.path
-    if args.store_command == "migrate":
-        try:
-            verdicts, plans = migrate_store(path, shards=args.shards)
-        except (StoreError, OSError) as exc:
-            print(f"repro-deps: cannot migrate '{path}': {exc}", file=sys.stderr)
-            return EXIT_STORE_ERROR
-        print(
-            f"migrated {path} to v2 ({args.shards} shard(s), "
-            f"{verdicts} verdict(s), {plans} plan(s))"
-        )
-        return 0
     if args.store_command == "verify":
         report = VerdictStore.scan(path)
         for line in report.lines():
@@ -442,8 +413,7 @@ def _store(args: argparse.Namespace) -> int:
     before, after = result
     print(
         f"compacted {path}: {before} -> {after} bytes "
-        f"({len(store)} verdict(s), {store.plan_count} plan(s), "
-        f"{store.report_count} report(s) kept)"
+        f"({len(store)} verdict(s), {store.report_count} report(s) kept)"
     )
     for label, shard_before, shard_after in getattr(result, "shards", []):
         print(

@@ -12,29 +12,21 @@ For a pair of references to the same array:
    :class:`~repro.dirvec.vectors.DependenceInfo` for the pair.
 
 This is the algorithm PFC and ParaScope implement; the optional
-:class:`~repro.instrument.TestRecorder` collects the Table 3 statistics.
-
-Two fast-path hooks overlay the algorithm without changing its output:
-
-* a precompiled :class:`~repro.core.plan.TestPlan` replays a previously
-  recorded partition shape and per-partition dispatch decision, skipping
-  ``partition_subscripts`` and ``classify`` for structurally identical
-  pairs (callers must validate the plan against the pair's canonical key
-  via ``plan.check(key)`` first);
-* a :class:`~repro.engine.profile.PhaseProfile` (duck-typed: anything with
-  ``add_test``) accumulates per-test-tier wall-clock time.
+:class:`~repro.instrument.TestRecorder` collects the Table 3 statistics,
+and an optional :class:`~repro.engine.profile.PhaseProfile` (duck-typed:
+anything with ``add_test``) accumulates per-test-tier wall-clock time
+without changing the output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.classify.pairs import PairContext, SubscriptPair
 from repro.classify.partition import partition_subscripts
 from repro.classify.subscript import SubscriptKind, classify
-from repro.core.plan import PlanAction, PlanRecorder, TestPlan
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions, delta_test
 from repro.dirvec.vectors import DependenceInfo, DirectionVector
 from repro.instrument import TestRecorder, maybe_record
@@ -127,8 +119,6 @@ def test_dependence(
     recorder: Optional[TestRecorder] = None,
     delta_options: DeltaOptions = DEFAULT_OPTIONS,
     context: Optional[PairContext] = None,
-    plan: Optional[TestPlan] = None,
-    plan_recorder: Optional[PlanRecorder] = None,
     profile=None,
     budget=None,
 ) -> DependenceResult:
@@ -136,10 +126,7 @@ def test_dependence(
 
     A prebuilt ``context`` for the pair may be passed to avoid constructing
     it twice (the caching engine builds one to derive the canonical key and
-    hands it through here on a miss).  ``plan`` replays a precompiled
-    dispatch schedule for the pair's shape; ``plan_recorder`` records one
-    while the driver derives the schedule from scratch.  Both are dispatch
-    shortcuts only — every test still runs on this pair's own subscripts.
+    hands it through here on a miss).
 
     ``budget`` is an optional step allowance (duck-typed: anything with
     ``spend(n)``, normally a :class:`repro.engine.faults.StepBudget`);
@@ -161,31 +148,12 @@ def test_dependence(
         result.exact = False
         return result
 
-    if plan is not None:
-        subscripts = context.subscripts
-        schedule: List[Tuple[List[SubscriptPair], Tuple[int, ...], Optional[PlanAction]]] = [
-            ([subscripts[p] for p in positions], positions, action)
-            for positions, action in plan.steps
-        ]
-    else:
-        schedule = [
-            (partition.pairs, partition.positions, None)
-            for partition in partition_subscripts(context.subscripts, context)
-        ]
-
-    for pairs, positions, action in schedule:
+    for partition in partition_subscripts(context.subscripts, context):
         if budget is not None:
             budget.spend(1)
-        if action is None:
-            outcome, action = _dispatch(
-                pairs, context, recorder, delta_options, profile, budget
-            )
-        else:
-            outcome = _replay(
-                action, pairs, context, recorder, delta_options, profile, budget
-            )
-        if plan_recorder is not None:
-            plan_recorder.add(positions, action)
+        outcome = _dispatch(
+            partition.pairs, context, recorder, delta_options, profile, budget
+        )
         result.outcomes.append(outcome)
         if not outcome.applicable:
             result.exact = False
@@ -227,78 +195,26 @@ def _dispatch(
     delta_options: DeltaOptions,
     profile,
     budget=None,
-) -> Tuple[TestOutcome, PlanAction]:
-    """Classify a partition and run its test; report the dispatch decision."""
-    if len(pairs) > 1:
-        outcome = _timed(
-            profile, "delta", delta_test, pairs, context, recorder,
-            delta_options, budget,
-        )
-        return outcome, PlanAction.DELTA
-    pair = pairs[0]
-    kind = classify(pair, context)
-    if kind is SubscriptKind.NONLINEAR:
-        return TestOutcome.not_applicable("nonlinear"), PlanAction.NONLINEAR
-    if kind is SubscriptKind.ZIV:
-        outcome = maybe_record(recorder, _timed(profile, "ziv", ziv_test, pair, context))
-        return outcome, PlanAction.ZIV
-    if kind.is_siv:
-        outcome = maybe_record(recorder, _timed(profile, "siv", siv_test, pair, context))
-        return outcome, PlanAction.SIV
-    if kind is SubscriptKind.RDIV:
-        outcome = maybe_record(recorder, _timed(profile, "rdiv", rdiv_test, pair, context))
-        if outcome.applicable:
-            return outcome, PlanAction.RDIV
-        # Symbolic RDIV shapes fall back to the general MIV test.
-        outcome = maybe_record(
-            recorder, _timed(profile, "miv", banerjee_gcd_test, pair, context)
-        )
-        return outcome, PlanAction.RDIV_MIV
-    outcome = maybe_record(
-        recorder, _timed(profile, "miv", banerjee_gcd_test, pair, context)
-    )
-    return outcome, PlanAction.MIV
-
-
-def _replay(
-    action: PlanAction,
-    pairs: List[SubscriptPair],
-    context: PairContext,
-    recorder: Optional[TestRecorder],
-    delta_options: DeltaOptions,
-    profile,
-    budget=None,
 ) -> TestOutcome:
-    """Run the test a plan resolved a partition to, skipping classification.
-
-    The canonical key determines classification, so a checked plan's action
-    is always the one ``classify`` would pick; the RDIV arm still keeps the
-    applicability fallback so even a hypothetical divergence degrades to
-    exactly the fresh driver's behavior.
-    """
-    if action is PlanAction.DELTA:
+    """Classify a partition and run the test for its class."""
+    if len(pairs) > 1:
         return _timed(
             profile, "delta", delta_test, pairs, context, recorder,
             delta_options, budget,
         )
     pair = pairs[0]
-    if action is PlanAction.NONLINEAR:
+    kind = classify(pair, context)
+    if kind is SubscriptKind.NONLINEAR:
         return TestOutcome.not_applicable("nonlinear")
-    if action is PlanAction.ZIV:
+    if kind is SubscriptKind.ZIV:
         return maybe_record(recorder, _timed(profile, "ziv", ziv_test, pair, context))
-    if action is PlanAction.SIV:
+    if kind.is_siv:
         return maybe_record(recorder, _timed(profile, "siv", siv_test, pair, context))
-    if action is PlanAction.RDIV:
+    if kind is SubscriptKind.RDIV:
         outcome = maybe_record(recorder, _timed(profile, "rdiv", rdiv_test, pair, context))
         if outcome.applicable:
             return outcome
-        return maybe_record(
-            recorder, _timed(profile, "miv", banerjee_gcd_test, pair, context)
-        )
-    # RDIV_MIV (RDIV preconditions failed at record time) and MIV both run
-    # the general test; the fresh path records the failed RDIV attempt as
-    # not-applicable, which the recorder never counts, so skipping the
-    # re-attempt is observation-equivalent.
+        # Symbolic RDIV shapes fall back to the general MIV test.
     return maybe_record(
         recorder, _timed(profile, "miv", banerjee_gcd_test, pair, context)
     )

@@ -57,12 +57,12 @@ walk analyzes them in spawned worker processes
   per-file checkpoint, pressure checks, the summary and the fault
   report.  Workers hold no store: per routine they return the text,
   its degraded flag, quarantine errors, counter deltas and the fresh
-  verdict and plan records their engine computed, and the parent
-  writes those through its store exactly as the in-process path would
-  have.  Kill points, resume grain and store fault handling therefore
-  stay in one process.  A routine the store already holds (a file a
-  killed run left half done) is replayed and the worker's result for
-  it — text, counters, failures and records — is dropped.
+  verdicts their engine computed, and the parent writes those through
+  its store exactly as the in-process path would have.  Kill points,
+  resume grain and store fault handling therefore stay in one process.
+  A routine the store already holds (a file a killed run left half
+  done) is replayed and the worker's result for it — text, counters,
+  failures and records — is dropped.
 * **Memory** — files are read a bounded window ahead of the one being
   printed and sent :data:`POOL_BATCH` to a task; results print in walk
   order, so the tree's results are never buffered.  A worker peaks
@@ -213,8 +213,7 @@ class RoutineResult(NamedTuple):
     error: str = ""
     #: A worker's counters for this routine, not yet merged.
     stats: Optional[EngineStats] = None
-    #: A worker's fresh ``(kind, key, value)`` verdict/plan records, not
-    #: yet written.
+    #: A worker's fresh ``(key, entry)`` verdicts, not yet written.
     records: Sequence[Tuple] = ()
     #: A worker's ``--strict`` abort, raised when the parent reaches it.
     abort: Optional[BaseException] = None
@@ -363,12 +362,11 @@ def usable_cpus() -> int:
 class _FreshRecords:
     """A pool worker's stand-in for the verdict store.
 
-    The worker's driver writes fresh verdicts and plans through to it as
-    it would to a store; the parent writes them to the real one.  Reads
-    always miss: a worker answers from its own memory tiers.
+    The worker's driver writes fresh verdicts through to it as it would
+    to a store; the parent writes them to the real one.  Reads always
+    miss: a worker answers from its own memory tier.
     """
 
-    read_only = False
     events = ()
 
     def __init__(self):
@@ -377,14 +375,8 @@ class _FreshRecords:
     def get(self, key):
         return None
 
-    def get_plan(self, key):
-        return None
-
     def put(self, key, entry) -> None:
-        self.records.append(("v", key, entry))
-
-    def put_plan(self, key, plan) -> None:
-        self.records.append(("p", key, plan))
+        self.records.append((key, entry))
 
 
 class _PoolWorker:
@@ -534,7 +526,7 @@ class StreamingCorpusRunner:
 
     def _put_report(self, token: str, value: object) -> None:
         store = self._store()
-        if store is None or store.read_only:
+        if store is None:
             return
         try:
             store.put_report(token, value)
@@ -544,7 +536,7 @@ class StreamingCorpusRunner:
 
     def _checkpoint(self) -> None:
         store = self._store()
-        if store is None or store.read_only:
+        if store is None:
             return
         try:
             store.checkpoint()
@@ -553,19 +545,16 @@ class StreamingCorpusRunner:
         self.engine.driver.drain_store_events()
 
     def _write_records(self, records: Sequence[Tuple]) -> None:
-        """Write a worker's fresh records through this process's store,
+        """Write a worker's fresh verdicts through this process's store,
         skipping any the store already holds, as an in-process lookup
         would have found them."""
         driver = self.engine.driver
-        for kind, key, value in records:
+        for key, entry in records:
             store = driver.persist
-            if store is None or store.read_only:
+            if store is None:
                 return
-            if kind == "v":
-                if store.get(key) is None:
-                    driver._persist_entry(key, value)
-            elif store.get_plan(key) is None:
-                driver._persist_plan(key, value)
+            if store.get(key) is None:
+                driver._persist_entry(key, entry)
 
     # -- fault isolation -------------------------------------------------
 
@@ -701,7 +690,7 @@ class StreamingCorpusRunner:
             self._put_report(job.ftoken, {"routines": tokens})
 
     def _absorb(self, result: RoutineResult) -> RoutineResult:
-        """Take over a worker's routine: its counters, its fresh records
+        """Take over a worker's routine: its counters, its fresh verdicts
         and its abort.  A store write failing here degrades the report,
         as it would have during in-process analysis."""
         stats = self.engine.stats

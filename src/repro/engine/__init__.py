@@ -11,9 +11,7 @@ dependence testing an ideal memoization target.  This package exploits it:
   and process boundaries;
 * :mod:`repro.engine.cache` — an LRU cache over
   :func:`~repro.core.driver.test_dependence` keyed by canonical pair keys,
-  with hit/miss/eviction counters in an :class:`EngineStats`, plus a
-  second tier of precompiled :class:`~repro.core.plan.TestPlan` dispatch
-  schedules replayed on verdict misses;
+  with hit/miss/eviction counters in an :class:`EngineStats`;
 * :mod:`repro.engine.profile` — opt-in per-phase and per-test-tier wall
   timing (:class:`PhaseProfile`), surfaced by ``repro-deps analyze
   --profile``;
@@ -24,12 +22,11 @@ dependence testing an ideal memoization target.  This package exploits it:
 * :mod:`repro.engine.faultinject` — the deterministic fault-injection
   harness behind the ``REPRO_FAULTS`` environment hook (test-only);
 * :mod:`repro.engine.store` — :class:`VerdictStore`, a crash-safe
-  sharded on-disk verdict/plan store (a manifest plus key-prefix shard
+  sharded on-disk verdict store (a manifest plus key-prefix shard
   segments of CRC-checked length-prefixed records; per-batch shard
   locks, so any number of concurrent processes share one store; corrupt
   tails truncated on open, failing shards quarantined) serving as a
-  persistent third cache tier, with :func:`migrate_store` upgrading
-  legacy v1 single-file stores;
+  persistent second cache tier;
 * :mod:`repro.engine.checkpoint` — :class:`CheckpointLog` and
   :func:`run_token`: durable completed-routine markers over the store,
   so ``repro-deps ... --store s.db --resume`` continues a killed run
@@ -71,10 +68,8 @@ from repro.engine.store import (
     CompactionResult,
     StoreError,
     StoreLockError,
-    StoreReadOnlyError,
     StoreReport,
     VerdictStore,
-    migrate_store,
 )
 
 __all__ = [
@@ -96,10 +91,8 @@ __all__ = [
     "CompactionResult",
     "StoreError",
     "StoreLockError",
-    "StoreReadOnlyError",
     "StoreReport",
     "VerdictStore",
-    "migrate_store",
     "canonical_pair_key",
     "canonicalize_result",
     "rehydrate_result",

@@ -6,26 +6,17 @@ signature of :func:`~repro.core.driver.test_dependence` but memoizes
 verdicts by canonical pair key, so the thousands of structurally identical
 reference pairs of a corpus run share one test each.
 
-Below the verdict cache sits a second, cheaper tier: a store of
-precompiled :class:`~repro.core.plan.TestPlan` objects, also keyed by
-canonical key.  A verdict miss first consults it — a plan hit replays the
-recorded partition shape and dispatch decisions, skipping
-``partition_subscripts`` and ``classify`` while still running every test
-on the pair's own data.  Plans are tiny (a tuple of positions and an enum
-per partition), so the plan store holds many more shapes than the verdict
-cache and keeps paying off after verdict entries are evicted.
-
 Recorder parity is exact: every miss runs the real driver against a
 private :class:`~repro.instrument.TestRecorder` and stores the counter
 delta in the entry; hits and misses alike merge that delta into the
 caller's recorder, so Table 3 statistics are byte-identical to a serial
 uncached run.
 
-An optional third tier sits below both: a crash-safe persistent
+An optional second tier sits below the LRU: a crash-safe persistent
 :class:`~repro.engine.store.VerdictStore`.  Lookups probe memory first,
-then the store (promoting hits into the LRU); fresh verdicts and plans
-are written through, so a killed run's successor reopens the store and
-serves every previously tested shape without re-testing.  Assumed
+then the store (promoting hits into the LRU); fresh verdicts are written
+through, so a killed run's successor reopens the store and serves every
+previously tested shape without re-testing.  Assumed
 (degraded) verdicts never reach the store — PR 3's contamination
 guarantee extends across process boundaries.  A store *write* failure
 mid-run degrades the driver back to memory-only operation with a
@@ -44,7 +35,6 @@ from repro.core.driver import (
     assumed_dependence_result,
     test_dependence,
 )
-from repro.core.plan import PlanRecorder, TestPlan
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions
 from repro.engine import faultinject
 from repro.engine.faults import (
@@ -76,11 +66,6 @@ from repro.ir.loop import AccessSite
 #: a few hundred, so the default effectively never evicts in practice.
 DEFAULT_CAPACITY = 65536
 
-#: Plan entries kept per verdict entry: plans are ~50 bytes against the
-#: kilobytes a full canonical verdict carries, so the plan tier outlives
-#: verdict eviction by design.
-PLAN_CAPACITY_FACTOR = 4
-
 #: Prepared-pair memo bound (cleared wholesale past this — entries are
 #: cheap to rebuild and the memo only pays off within/between passes over
 #: the same bodies).
@@ -107,21 +92,13 @@ class CachedDriver:
         capacity: int = DEFAULT_CAPACITY,
         delta_options: DeltaOptions = DEFAULT_OPTIONS,
         stats: Optional[EngineStats] = None,
-        plan_capacity: Optional[int] = None,
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
     ):
         if capacity < 1:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
-        if plan_capacity is None:
-            plan_capacity = capacity * PLAN_CAPACITY_FACTOR
-        if plan_capacity < 1:
-            raise ValueError(
-                f"plan capacity must be positive, got {plan_capacity}"
-            )
         self.symbols = symbols
         self.capacity = capacity
-        self.plan_capacity = plan_capacity
         self.delta_options = delta_options
         self.policy = policy
         self.stats = stats if stats is not None else EngineStats()
@@ -135,7 +112,6 @@ class CachedDriver:
         #: Named ``persist`` because :meth:`store` is the LRU insert.
         self.persist = store
         self._entries: "OrderedDict[CanonicalKey, CacheEntry]" = OrderedDict()
-        self._plans: "OrderedDict[CanonicalKey, TestPlan]" = OrderedDict()
 
     # -- cache primitives ------------------------------------------------
 
@@ -203,26 +179,11 @@ class CachedDriver:
             self.stats.record_failure(FailureRecord("store", where, message))
 
     def _persist_entry(self, key: CanonicalKey, entry: CacheEntry) -> None:
-        if (
-            self.persist is None
-            or entry.assumed
-            or self.persist.read_only
-        ):
+        if self.persist is None or entry.assumed:
             return
         try:
             self.persist.put(key, entry)
             self.stats.store_writes += 1
-        except Exception as exc:
-            self._degrade_store(exc)
-        else:
-            if self.persist.events:
-                self.drain_store_events()
-
-    def _persist_plan(self, key: CanonicalKey, plan: TestPlan) -> None:
-        if self.persist is None or self.persist.read_only:
-            return
-        try:
-            self.persist.put_plan(key, plan)
         except Exception as exc:
             self._degrade_store(exc)
         else:
@@ -238,22 +199,20 @@ class CachedDriver:
             self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every verdict and plan (counters kept; see ``stats.reset``)."""
+        """Drop every verdict (counters kept; see ``stats.reset``)."""
         self._entries.clear()
-        self._plans.clear()
 
     def shed_memory(self) -> int:
         """Drop every in-memory tier under memory pressure; returns count.
 
         The corpus streaming driver calls this when its RSS watermark
-        trips: the LRU verdict/plan tiers and the process-wide prepared-
-        pair memo all rebuild lazily (or re-read from the persistent
+        trips: the LRU verdict tier and the process-wide prepared-pair
+        memo both rebuild lazily (or re-read from the persistent
         store), so shedding trades warm-cache speed for bounded memory
         without changing any verdict.
         """
-        shed = len(self._entries) + len(self._plans) + len(_PAIR_MEMO)
+        shed = len(self._entries) + len(_PAIR_MEMO)
         self._entries.clear()
-        self._plans.clear()
         _PAIR_MEMO.clear()
         return shed
 
@@ -266,7 +225,7 @@ class CachedDriver:
         vanish from the fault report.  Safe to call repeatedly; the store
         object itself stays open (its owner closes it).
         """
-        if self.persist is not None and not self.persist.read_only:
+        if self.persist is not None:
             try:
                 self.persist.checkpoint()
             except Exception as exc:
@@ -285,40 +244,6 @@ class CachedDriver:
         if self.deadline is None:
             return StepBudget(limit) if limit else None
         return StepBudget(limit or DEFAULT_PAIR_BUDGET, deadline=self.deadline)
-
-    # -- the plan tier ---------------------------------------------------
-
-    def plan_count(self) -> int:
-        """Number of precompiled plans resident."""
-        return len(self._plans)
-
-    def plan_for(self, key: CanonicalKey) -> Optional[TestPlan]:
-        """The precompiled plan for ``key`` (marks it recently used).
-
-        Falls back to the persistent store, promoting hits into the
-        memory tier, so plans survive process restarts too.
-        """
-        plan = self._plans.get(key)
-        if plan is not None:
-            self._plans.move_to_end(key)
-            return plan
-        if self.persist is not None:
-            plan = self.persist.get_plan(key)
-            if plan is not None:
-                self.store_plan(key, plan)
-        return plan
-
-    def store_plan(self, key: CanonicalKey, plan: TestPlan) -> None:
-        """Keep a compiled plan, evicting the least recently used past cap.
-
-        Write-through to the persistent store (a no-op for plans already
-        on disk, including ones just promoted from it).
-        """
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.plan_capacity:
-            self._plans.popitem(last=False)
-        self._persist_plan(key, plan)
 
     # -- the tester interface --------------------------------------------
 
@@ -367,11 +292,7 @@ class CachedDriver:
     ) -> DependenceResult:
         """Serve a prepared pair from cache, testing (and filling) on miss.
 
-        The miss path replays the key's precompiled test plan when one is
-        resident (skipping partitioning and classification), and compiles
-        one otherwise so the next miss on this shape is cheaper.
-
-        The miss path is also the per-pair isolation boundary: any
+        The miss path is the per-pair isolation boundary: any
         exception the test raises (including an exhausted
         :class:`~repro.engine.faults.StepBudget`) degrades to a
         conservative assumed-dependence verdict with a
@@ -404,27 +325,15 @@ class CachedDriver:
             if self.deadline is not None:
                 self.deadline.check()
             faultinject.on_pair(context.src_site.ref.array)
-            plan = self.plan_for(key)
-            plan_recorder = None
-            if plan is not None:
-                self.stats.plan_hits += 1
-                plan = plan.check(key)
-            else:
-                self.stats.plan_misses += 1
-                plan_recorder = PlanRecorder()
             result = test_dependence(
                 context.src_site,
                 context.sink_site,
                 recorder=local,
                 delta_options=self.delta_options,
                 context=context,
-                plan=plan,
-                plan_recorder=plan_recorder,
                 profile=profile,
                 budget=budget,
             )
-            if plan_recorder is not None:
-                self.store_plan(key, plan_recorder.compile(key))
         except Exception as exc:
             where = f"{context.src_site.ref} -> {context.sink_site.ref}"
             if self.policy.strict:

@@ -20,7 +20,7 @@ resume report says so instead of claiming prior progress.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Set, Tuple
+from typing import Set
 
 from repro.engine.store import VerdictStore
 
@@ -48,13 +48,10 @@ def run_token(*parts: object) -> str:
 class CheckpointLog:
     """Progress markers for one run token, backed by a :class:`VerdictStore`.
 
-    The engine bumps the *build* counter once per graph build (one per
-    routine).  Routine markers go through :meth:`mark_routine` (the CLI
-    and study harness call it after printing each routine's results),
-    under this log's token, so markers from different inputs sharing a
-    store never collide.  Chunk markers (:meth:`mark_chunk`) have no
-    writer left in the engine; stores that hold them still report them
-    on resume.
+    :meth:`begin_run` marks a run's start and :meth:`mark_routine` each
+    finished routine (the CLI and study harness call it after printing
+    the routine's results), under this log's token, so markers from
+    different inputs sharing a store never collide.
 
     Marker writes checkpoint the store eagerly: a marker that says "work
     done" must never be durable *before* the verdicts it covers.
@@ -65,14 +62,12 @@ class CheckpointLog:
     def __init__(self, store: VerdictStore, token: str):
         self.store = store
         self.token = token
-        self._build = -1
         # Progress the killed run left behind for this token, frozen at
         # open time so the resume report does not count our own markers.
         # ``store.runs()`` polls the meta shard, so markers a sibling
         # writer landed in a shared (v2 sharded) store count too — and
         # they are deduped by value on fold, so two writers marking the
         # same routine yield one skip, not two.
-        self.prior_chunks: Set[Tuple[int, int]] = store.chunks_done(token)
         self.prior_runs: int = sum(
             1
             for t, label in store.runs()
@@ -88,33 +83,15 @@ class CheckpointLog:
     #
     # Markers land in the store's dedicated meta shard, which flushes
     # strictly after the data shards (see VerdictStore.checkpoint), so a
-    # durable marker never claims verdicts a crash could have lost.  On
-    # a legacy v1 store opened read-only the markers are skipped: prior
-    # progress still reads, new progress simply isn't recorded.
+    # durable marker never claims verdicts a crash could have lost.
 
     def begin_run(self, label: str) -> None:
         """Record that a run over this token started (durably)."""
-        if self.store.read_only:
-            return
         self.store.mark_run(self.token, label)
-        self.store.checkpoint()
-
-    def begin_build(self) -> int:
-        """Enter the next graph build; returns its build ordinal."""
-        self._build += 1
-        return self._build
-
-    def mark_chunk(self, seq: int) -> None:
-        """Record one completed dispatch chunk of the current build."""
-        if self.store.read_only:
-            return
-        self.store.mark_chunk(self.token, max(self._build, 0), seq)
         self.store.checkpoint()
 
     def mark_routine(self, name: str) -> None:
         """Record one fully analyzed routine (durably)."""
-        if self.store.read_only:
-            return
         self.store.mark_run(self.token, f"routine:{name}")
         self.store.checkpoint()
 
@@ -123,9 +100,7 @@ class CheckpointLog:
     @property
     def resumable(self) -> bool:
         """True when the store holds prior progress for this exact input."""
-        return bool(
-            self.prior_runs or self.prior_chunks or self.prior_routines
-        )
+        return bool(self.prior_runs or self.prior_routines)
 
     def resume_summary(self) -> str:
         """One-line human summary for ``--resume`` banners."""
@@ -137,6 +112,4 @@ class CheckpointLog:
         parts = [f"{len(self.store)} verdict(s) resident"]
         if self.prior_routines:
             parts.append(f"{len(self.prior_routines)} routine(s) checkpointed")
-        if self.prior_chunks:
-            parts.append(f"{len(self.prior_chunks)} chunk(s) checkpointed")
         return "resuming: " + ", ".join(parts)

@@ -39,7 +39,6 @@ class DependenceEngine:
         cache_size: int = DEFAULT_CAPACITY,
         use_cache: bool = True,
         delta_options: DeltaOptions = DEFAULT_OPTIONS,
-        plan_capacity: Optional[int] = None,
         profile: bool = False,
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
@@ -57,7 +56,6 @@ class DependenceEngine:
             capacity=cache_size,
             delta_options=delta_options,
             stats=stats,
-            plan_capacity=plan_capacity,
             policy=policy,
             store=store if use_cache else None,
         )
@@ -96,7 +94,6 @@ class DependenceEngine:
             "cache_size": driver.capacity,
             "use_cache": self.use_cache,
             "delta_options": driver.delta_options,
-            "plan_capacity": driver.plan_capacity,
             "profile": self.profile is not None,
             "policy": driver.policy,
         }
@@ -130,8 +127,6 @@ class DependenceEngine:
         mixing environments cannot cross-contaminate entries).
         """
         env = symbols if symbols is not None else self.symbols
-        if self.checkpoint is not None:
-            self.checkpoint.begin_build()
         if not self.use_cache:
             return build_dependence_graph(
                 nodes,

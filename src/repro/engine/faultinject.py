@@ -29,7 +29,7 @@ engine's seams:
   handler sleeps before analyzing (all requests, or only the first
   ``<n>``), holding its in-flight slot so deadline, backpressure, and
   load-shedding paths become deterministic;
-* ``reject-store:<n>`` — the first ``<n>`` verdict/plan writes to a
+* ``reject-store:<n>`` — the first ``<n>`` verdict/report writes to a
   persistent store raise :class:`InjectedFaultError` (simulates a store
   gone bad mid-run: the driver degrades to memory-only and the service's
   store breaker trips, then recovers once the fault budget is spent);
@@ -293,7 +293,7 @@ _STORE_PUTS = 0
 
 
 def on_store_put() -> None:
-    """Per-write hook, called as a verdict/plan write enters the store.
+    """Per-write hook, called as a verdict/report write enters the store.
 
     ``reject-store:<n>`` fails the first ``n`` writes with
     :class:`InjectedFaultError` — before anything is buffered — so the

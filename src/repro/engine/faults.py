@@ -181,26 +181,18 @@ class FailureRecord:
     degraded to memory-only caching), or ``"pool"`` (a ``corpus run``
     worker pool broke and the walk finished in-process).
     ``where`` locates it (pair description or suite/program/routine
-    path); ``error`` is the stringified cause; ``attempts`` counts how
-    many tries were spent before the work was given up.
+    path); ``error`` is the stringified cause.
     """
 
     kind: str
     where: str
     error: str
-    attempts: int = 1
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "where": self.where,
-            "error": self.error,
-            "attempts": self.attempts,
-        }
+        return {"kind": self.kind, "where": self.where, "error": self.error}
 
     def __str__(self) -> str:
-        suffix = f" (after {self.attempts} attempts)" if self.attempts > 1 else ""
-        return f"[{self.kind}] {self.where}: {self.error}{suffix}"
+        return f"[{self.kind}] {self.where}: {self.error}"
 
 
 def failure_kind(exc: BaseException) -> str:

@@ -21,7 +21,7 @@ from time import perf_counter
 from typing import Dict, List
 
 #: Canonical display order for engine phases (unknown names sort after).
-PHASE_ORDER = ("prepare", "plan", "test", "rehydrate", "edge-build")
+PHASE_ORDER = ("prepare", "test", "rehydrate", "edge-build")
 
 
 class PhaseProfile:

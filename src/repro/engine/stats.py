@@ -1,12 +1,11 @@
-"""Engine observability: cache, plan, and fault counters.
+"""Engine observability: cache and fault counters.
 
 The study harness threads a :class:`~repro.instrument.TestRecorder`
 through the driver to count test applications (the paper's Table 3); the
 engine adds :class:`EngineStats` alongside it to count what the *cache*
-did — hits, misses, evictions — how often the precompiled test-plan tier
-fired, and which failures were absorbed.  An optional
-:class:`~repro.engine.profile.PhaseProfile` rides along for per-phase
-wall-clock timings.  The benchmark harness serializes all of it into
+did — hits, misses, evictions — and which failures were absorbed.  An
+optional :class:`~repro.engine.profile.PhaseProfile` rides along for
+per-phase wall-clock timings.  The benchmark harness serializes all of it into
 ``BENCH_engine.json``.
 """
 
@@ -27,11 +26,9 @@ class EngineStats:
     lookups by provenance — served from the in-memory LRU, served from
     the persistent :class:`~repro.engine.store.VerdictStore` (a resumed
     run's prior work), or actually tested; ``store_writes`` counts fresh
-    verdicts written through to the store.  ``evictions``
-    counts LRU drops.  ``plan_hits``/``plan_misses`` count verdict misses
-    that could / could not replay a precompiled test plan.  ``profile``
-    holds per-phase wall timings when the engine was built with profiling
-    on (None otherwise).
+    verdicts written through to the store.  ``evictions`` counts LRU
+    drops.  ``profile`` holds per-phase wall timings when the engine was
+    built with profiling on (None otherwise).
 
     The fault-tolerance layer reports here too: ``assumed`` counts pair
     resolutions degraded to a conservative assumed-dependence verdict,
@@ -60,8 +57,6 @@ class EngineStats:
     store_writes: int = 0
     misses: int = 0
     evictions: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
     assumed: int = 0
     routines_skipped: int = 0
     shed_requests: int = 0
@@ -114,8 +109,6 @@ class EngineStats:
         self.store_writes += other.store_writes
         self.misses += other.misses
         self.evictions += other.evictions
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
         self.assumed += other.assumed
         self.routines_skipped += other.routines_skipped
         self.shed_requests += other.shed_requests
@@ -131,7 +124,6 @@ class EngineStats:
         """Zero every counter (keeps the profile object, zeroing its timers)."""
         self.hits = self.misses = self.evictions = 0
         self.store_hits = self.store_foreign_hits = self.store_writes = 0
-        self.plan_hits = self.plan_misses = 0
         self.assumed = self.routines_skipped = 0
         self.shed_requests = self.coalesced_requests = 0
         self.degraded_requests = 0
@@ -150,8 +142,6 @@ class EngineStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
             "hit_rate": round(self.hit_rate, 4),
         }
         if self.store_hits or self.store_writes:
@@ -196,8 +186,6 @@ class EngineStats:
             )
             if self.store_foreign_hits:
                 text += f" ({self.store_foreign_hits} cross-process)"
-        if self.plan_hits or self.plan_misses:
-            text += f"; plans: {self.plan_hits} replayed, {self.plan_misses} compiled"
         if self.degraded:
             text += (
                 f"; degraded: {self.assumed} assumed, "

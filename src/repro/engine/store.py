@@ -1,4 +1,4 @@
-"""Crash-safe persistent verdict/plan store — sharded, multi-writer (v2).
+"""Crash-safe persistent verdict store — sharded, multi-writer (v2).
 
 The canonical pair key makes a driver verdict a pure function of
 structure (see :mod:`repro.engine.canonical`), which is exactly what
@@ -14,20 +14,20 @@ interleaving can duplicate work but never corrupt truth.
   Created atomically (temp file + rename) and validated on every open;
   a corrupt manifest rebuilds the store empty (verdicts are derived
   data — a rebuild can never lose truth).
-* ``shard-NNN.seg`` — N key-prefix shards.  A verdict or plan record
+* ``shard-NNN.seg`` — N key-prefix shards.  A verdict or report record
   lands in shard ``crc32(pickle(key), salt) % N``; each shard is an
   independent RVS1-style append-only segment with its own ``.lock``
   sidecar.
-* ``meta.seg`` — a dedicated shard for run/chunk checkpoint markers,
+* ``meta.seg`` — a dedicated shard for run and routine markers,
   flushed strictly *after* the data shards so a durable marker never
   claims verdicts a crash could have lost.
 
-Each segment file keeps the v1 record format: an 8-byte header (magic
-``RVS1`` + little-endian ``u32`` schema version) followed by records of
-``[u32 length][u32 crc32][pickled payload]``.  A store created by a v1
-build (a single segment *file* at ``path``) still opens — read-only,
-with writes refused — and ``repro-deps store migrate`` upgrades it in
-place.
+Each segment file is an 8-byte header (magic ``RVS1`` + little-endian
+``u32`` schema version) followed by records of ``[u32 length][u32
+crc32][pickled payload]``.  A segment with another schema version opens
+rebuilt empty.  Any existing path that is not a directory is refused
+with :class:`StoreError` and left untouched: a store is a cache, and
+opening one must never delete a file.
 
 **Multi-writer protocol.**  No lock is held for the process lifetime.
 Appends are buffered in memory per shard; a :meth:`checkpoint` (or the
@@ -61,7 +61,7 @@ extend PR 3's contamination guarantee across runs — a faulted pair gets
 a fresh test next process, not a stale assumption.
 
 **Report documents and compaction groups.**  Two record kinds beyond
-verdicts/plans/markers serve the corpus streaming driver
+verdicts and markers serve the corpus streaming driver
 (:mod:`repro.corpus.stream`):
 
 * ``d`` — a *report document*: an opaque payload keyed by a content
@@ -72,8 +72,8 @@ verdicts/plans/markers serve the corpus streaming driver
   for degraded (assumed) analyses are never persisted.
 * ``g`` — a *compaction group*: several near-identical record payloads
   delta-compressed against a shared base (the groupcompress idiom) and
-  deflated as one frame.  :meth:`VerdictStore.compact` groups plan and
-  report payloads this way; :func:`_parse_records` expands groups
+  deflated as one frame.  :meth:`VerdictStore.compact` groups report
+  payloads this way; :func:`_parse_records` expands groups
   transparently, so folds, polls, scans, and verifies all see the
   member records as if they were written plain.
 """
@@ -93,7 +93,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.plan import TestPlan
 from repro.engine import faultinject
 from repro.engine.canonical import CacheEntry, CanonicalKey
 
@@ -108,14 +107,15 @@ MAGIC = b"RVS1"
 #: Manifest magic: "Repro Verdict Store Manifest".
 MANIFEST_MAGIC = b"RVSM"
 
-#: Store *layout* version written into the manifest.  v1 is the legacy
-#: single-segment file (no manifest); v2 is the sharded directory.
+#: Store *layout* version written into the manifest: the sharded
+#: directory.
 STORE_VERSION = 2
 
 #: Schema version of the pickled payloads.  Bump whenever CacheEntry,
-#: TestPlan, or the canonical-key layout changes shape; an on-disk
-#: mismatch rebuilds the segment instead of deserializing stale data.
-SCHEMA_VERSION = 1
+#: the record kinds, or the canonical-key layout changes shape; an
+#: on-disk mismatch rebuilds the segment instead of deserializing stale
+#: data.  Version 2 dropped the plan and chunk-marker records.
+SCHEMA_VERSION = 2
 
 #: Default key-prefix shard count for newly created stores.  The
 #: manifest is authoritative afterwards — reopening with a different
@@ -126,7 +126,7 @@ DEFAULT_SHARDS = 8
 #: make open() try to create millions of files).
 MAX_SHARDS = 1024
 
-#: Name of the marker shard (run/chunk checkpoint records).
+#: Name of the marker shard (run and routine markers).
 META_SHARD = "meta"
 
 _HEADER = struct.Struct("<4sI")
@@ -135,7 +135,7 @@ _FRAME = struct.Struct("<II")
 _MANIFEST = struct.Struct("<4sIII")
 
 #: Buffered records between automatic fsync'd checkpoints.  Records lost
-#: in a crash are bounded by this window (minus explicit chunk/routine
+#: in a crash are bounded by this window (minus explicit run/routine
 #: checkpoints, which flush eagerly).
 CHECKPOINT_INTERVAL = 64
 
@@ -171,10 +171,6 @@ class StoreLockError(StoreError):
     """A shard lock stayed contended through the whole retry schedule."""
 
 
-class StoreReadOnlyError(StoreError):
-    """A write was attempted on a read-only (legacy v1) store."""
-
-
 #: Recovery-rule names used in :attr:`StoreReport.rule_drops`.
 RECOVERY_RULES = (
     "torn-frame",
@@ -207,8 +203,6 @@ class StoreReport:
     shard_count: int = 0
     salt: Optional[int] = None
     verdicts: int = 0
-    plans: int = 0
-    chunks: int = 0
     runs: int = 0
     reports: int = 0
     records: int = 0
@@ -235,8 +229,6 @@ class StoreReport:
         self.shards.append(sub)
         self.size += sub.size
         self.verdicts += sub.verdicts
-        self.plans += sub.plans
-        self.chunks += sub.chunks
         self.runs += sub.runs
         self.reports += sub.reports
         self.records += sub.records
@@ -249,8 +241,7 @@ class StoreReport:
 
     def counts_line(self) -> str:
         return (
-            f"  {self.verdicts} verdict(s), {self.plans} plan(s), "
-            f"{self.reports} report(s), {self.chunks} chunk marker(s), "
+            f"  {self.verdicts} verdict(s), {self.reports} report(s), "
             f"{self.runs} run marker(s) in {self.records} record(s)"
         )
 
@@ -273,7 +264,7 @@ class StoreReport:
 
     def lines(self, per_shard: bool = True) -> List[str]:
         """Line-item report (header, counts, shard breakdown, problems)."""
-        if self.version == STORE_VERSION and self.shards:
+        if self.shards:
             data_shards = max(self.shard_count, 0)
             out = [
                 f"store {self.path}: v{STORE_VERSION} directory, "
@@ -291,18 +282,13 @@ class StoreReport:
                     )
                     out.append(
                         f"  {sub.label}: {sub.records} record(s) "
-                        f"({sub.verdicts} verdicts, {sub.plans} plans, "
-                        f"{sub.reports} reports, "
-                        f"{sub.chunks + sub.runs} markers), "
+                        f"({sub.verdicts} verdicts, {sub.reports} reports, "
+                        f"{sub.runs} markers), "
                         f"{sub.dead_bytes} dead byte(s), "
                         f"last checkpoint {when}"
                     )
         else:
-            out = [
-                f"store {self.path}: {self.size} bytes, schema "
-                f"{'?' if self.version is None else self.version}",
-                self.counts_line(),
-            ]
+            out = [f"store {self.path}: {self.size} bytes", self.counts_line()]
         for problem in self.problems:
             out.append(f"  PROBLEM: {problem}")
         if self.clean:
@@ -423,21 +409,18 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-#: Identity of one record for on-disk dedup: ``("v", key)``, ``("p",
-#: key)``, ``("d", token)``, ``("c", token, build, seq)``.  Routine
-#: markers (``r`` records labelled ``routine:<name>``) dedup by value —
-#: a corpus re-run marking the same routines must not grow the meta
-#: shard unboundedly.  Plain run markers have no identity (None): every
-#: ``begin_run`` appends.
+#: Identity of one record for on-disk dedup: ``("v", key)`` or ``("d",
+#: token)``.  Routine markers (``r`` records labelled
+#: ``routine:<name>``) dedup by value — a corpus re-run marking the same
+#: routines must not grow the meta shard unboundedly.  Plain run markers
+#: have no identity (None): every ``begin_run`` appends.
 RecordId = Optional[Tuple]
 
 
 def _record_identity(record: Tuple) -> RecordId:
     kind = record[0]
-    if kind in ("v", "p", "d"):
+    if kind in ("v", "d"):
         return (kind, record[1])
-    if kind == "c":
-        return ("c", record[1], record[2], record[3])
     if (
         kind == "r"
         and isinstance(record[2], str)
@@ -453,11 +436,11 @@ def _record_identity(record: Tuple) -> RecordId:
 def _delta_encode(base: bytes, text: bytes) -> Tuple[int, int, bytes]:
     """Encode ``text`` against ``base`` as (prefix, suffix, middle).
 
-    Near-identical pickled payloads (plans for the same subscript shape,
-    reports for structurally similar routines) share long prefixes and
-    suffixes with the group's base; storing only the differing middle is
-    the cheap core of the groupcompress idiom — no suffix trees needed
-    for payloads this regular.
+    Near-identical pickled payloads (reports for structurally similar
+    routines) share long prefixes and suffixes with the group's base;
+    storing only the differing middle is the cheap core of the
+    groupcompress idiom — no suffix trees needed for payloads this
+    regular.
     """
     limit = min(len(base), len(text))
     prefix = 0
@@ -594,10 +577,6 @@ def _count_record(record: Tuple, report: StoreReport, offset: int) -> bool:
     kind = record[0]
     if kind == "v":
         report.verdicts += 1
-    elif kind == "p":
-        report.plans += 1
-    elif kind == "c":
-        report.chunks += 1
     elif kind == "r":
         report.runs += 1
     elif kind == "d":
@@ -818,11 +797,11 @@ class _Segment:
 
 
 class VerdictStore:
-    """Sharded, crash-safe, multi-writer on-disk verdict and plan store.
+    """Sharded, crash-safe, multi-writer on-disk verdict store.
 
-    Open-or-create at ``path`` (a directory for v2 stores; a legacy v1
-    file opens read-only).  The whole live state loads into memory on
-    open, appends buffer per shard, and :meth:`checkpoint` makes them
+    Open-or-create the directory at ``path``; any other existing file
+    there raises :class:`StoreError`.  The whole live state loads into
+    memory on open, appends buffer per shard, and :meth:`checkpoint` makes them
     durable — taking each dirty shard's lock only for the append batch,
     so any number of processes may write the same store concurrently.
     Lookup misses poll the key's shard tail, making concurrent writers'
@@ -830,7 +809,8 @@ class VerdictStore:
     keys arrived from another process.
 
     Shard-scoped failures quarantine the shard (see ``events``); only
-    whole-store failures (closed store, read-only store) raise.
+    whole-store failures (a closed store, a path that is not a store
+    directory) raise.
     """
 
     def __init__(
@@ -846,9 +826,7 @@ class VerdictStore:
                 f"shard count must be in [1, {MAX_SHARDS}], got {shards}"
             )
         self._verdicts: Dict[CanonicalKey, CacheEntry] = {}
-        self._plans: Dict[CanonicalKey, TestPlan] = {}
         self._reports: Dict[str, object] = {}
-        self._chunks: Set[Tuple[str, int, int]] = set()
         self._runs: List[Tuple[str, str]] = []
         # Membership index over _runs: folding meta at corpus scale
         # (tens of thousands of routine markers) must not be O(n^2).
@@ -857,7 +835,6 @@ class VerdictStore:
         self._shard_memo: Dict[CanonicalKey, int] = {}
         self._pending_total = 0
         self._closed = False
-        self.read_only = False
         self.salt = 0
         #: Absorbed shard-scoped failures as ``(where, message)`` pairs,
         #: drained by the engine into ``"store"`` failure records.
@@ -868,34 +845,13 @@ class VerdictStore:
         if self.path.is_dir():
             self._open_v2(shards)
         elif self.path.exists():
-            if self._looks_like_v1(self.path):
-                self._open_v1_read_only()
-            else:
-                # Not a store at all: discard and start a fresh v2
-                # directory (verdicts are derived data).
-                report = StoreReport(path=self.path, rebuilt=True)
-                report.problems.append("unrecognized store file")
-                self.recovered_report = report
-                self.path.unlink()
-                self._create_v2(shards or DEFAULT_SHARDS)
-                print(
-                    f"repro-deps: store {self.path}: unrecognized store "
-                    "file; rebuilt empty",
-                    file=sys.stderr,
-                )
+            raise StoreError(
+                f"{self.path} exists and is not a store directory"
+            )
         else:
             self._create_v2(shards or DEFAULT_SHARDS)
 
     # -- open / create ---------------------------------------------------
-
-    @staticmethod
-    def _looks_like_v1(path: Path) -> bool:
-        try:
-            with open(path, "rb") as handle:
-                magic = handle.read(len(MAGIC))
-        except OSError:
-            return False
-        return magic == MAGIC
 
     def _manifest_path(self) -> Path:
         return self.path / "manifest"
@@ -1038,8 +994,7 @@ class VerdictStore:
                     f"{sub.problems[0]}; rebuilt empty",
                     file=sys.stderr,
                 )
-                sub.records = sub.verdicts = sub.plans = 0
-                sub.chunks = sub.runs = sub.size = 0
+                sub.size = 0  # the scan stopped at the header: no counts
                 segment.offset = _HEADER.size
             else:
                 for record in records:
@@ -1067,21 +1022,6 @@ class VerdictStore:
         finally:
             segment.lock.release()
 
-    def _open_v1_read_only(self) -> None:
-        """Legacy single-segment file: serve reads, refuse writes."""
-        self.read_only = True
-        report, records = _scan_segment_file(self.path, "store")
-        report.version = report.version if report.version is not None else None
-        if report.rebuilt:
-            # Even read-only fallback refuses to deserialize a wrong
-            # schema; the store opens empty (lookups all miss).
-            self.recovered_report = report
-            return
-        shim = _Segment(self.path, "store", 0)
-        for record in records:
-            self._fold(shim, record, foreign=False)
-        self.recovered_report = report
-
     # -- record folding ---------------------------------------------------
 
     def _fold(self, segment: _Segment, record: Tuple, foreign: bool) -> None:
@@ -1095,12 +1035,8 @@ class VerdictStore:
                 self._verdicts[record[1]] = record[2]
                 if foreign:
                     self._foreign.add(record[1])
-        elif kind == "p":
-            self._plans.setdefault(record[1], record[2])
         elif kind == "d":
             self._reports.setdefault(record[1], record[2])
-        elif kind == "c":
-            self._chunks.add((record[1], record[2], record[3]))
         elif kind == "r":
             # A compaction-triggered re-parse replays markers already
             # resident; dedup every marker by value.
@@ -1157,10 +1093,6 @@ class VerdictStore:
         return len(self._verdicts)
 
     @property
-    def plan_count(self) -> int:
-        return len(self._plans)
-
-    @property
     def report_count(self) -> int:
         return len(self._reports)
 
@@ -1169,13 +1101,7 @@ class VerdictStore:
         return self._closed
 
     def size(self) -> int:
-        """Total on-disk bytes across every segment (0 for a v1 store's
-        directory form; v1 files report their own size)."""
-        if self.read_only:
-            try:
-                return self.path.stat().st_size
-            except OSError:
-                return 0
+        """Total on-disk bytes across every segment."""
         total = 0
         for segment in self._all_segments():
             try:
@@ -1193,12 +1119,7 @@ class VerdictStore:
         stops at the first invalid record without advancing past it (the
         next poll retries).  Returns True when anything was folded.
         """
-        if (
-            segment is None
-            or segment.quarantined
-            or self._closed
-            or self.read_only
-        ):
+        if segment is None or segment.quarantined or self._closed:
             return False
         try:
             stat = os.stat(segment.path)
@@ -1218,12 +1139,8 @@ class VerdictStore:
             if len(data) < _HEADER.size or data[:4] != MAGIC:
                 return False
             start = _HEADER.size
-        folded = False
         scratch = StoreReport(path=segment.path, label=segment.label)
-        before = (
-            len(self._verdicts) + len(self._plans)
-            + len(self._reports) + len(self._chunks)
-        )
+        before = len(self._verdicts) + len(self._reports)
 
         def sink(record, _start, _end):
             known = _record_identity(record)
@@ -1232,13 +1149,9 @@ class VerdictStore:
             self._fold(segment, record, foreign=True)
 
         end = _parse_records(data, start, scratch, sink)
-        folded = (
-            len(self._verdicts) + len(self._plans)
-            + len(self._reports) + len(self._chunks)
-        ) > before
         segment.offset = end
         segment.ino = stat.st_ino
-        return folded
+        return len(self._verdicts) + len(self._reports) > before
 
     def foreign(self, key: CanonicalKey) -> bool:
         """True when ``key``'s resident entry arrived from a concurrent
@@ -1257,13 +1170,6 @@ class VerdictStore:
     def contains(self, key: CanonicalKey) -> bool:
         return self.get(key) is not None
 
-    def get_plan(self, key: CanonicalKey) -> Optional[TestPlan]:
-        plan = self._plans.get(key)
-        if plan is None and self._segments:
-            if self._poll(self._segment_for(key)):
-                plan = self._plans.get(key)
-        return plan
-
     def get_report(self, token: str) -> Optional[object]:
         """The report document stored under ``token`` (or None).
 
@@ -1277,17 +1183,6 @@ class VerdictStore:
                 value = self._reports.get(token)
         return value
 
-    def chunk_done(self, token: str, build: int, seq: int) -> bool:
-        if (token, build, seq) in self._chunks:
-            return True
-        self._poll(self._meta)
-        return (token, build, seq) in self._chunks
-
-    def chunks_done(self, token: str) -> Set[Tuple[int, int]]:
-        """Completed ``(build, seq)`` markers recorded under ``token``."""
-        self._poll(self._meta)
-        return {(b, s) for t, b, s in self._chunks if t == token}
-
     def runs(self) -> List[Tuple[str, str]]:
         """Every ``(token, label)`` run marker, in append order."""
         self._poll(self._meta)
@@ -1298,11 +1193,6 @@ class VerdictStore:
     def _check_writable(self) -> None:
         if self._closed:
             raise StoreError(f"store {self.path} is closed")
-        if self.read_only:
-            raise StoreReadOnlyError(
-                f"store {self.path} is a legacy v1 file opened read-only "
-                "(run `repro-deps store migrate` to upgrade it)"
-            )
 
     def _queue(self, segment: Optional[_Segment], identity: RecordId,
                record: Tuple) -> None:
@@ -1329,14 +1219,6 @@ class VerdictStore:
         self._verdicts[key] = entry
         self._queue(self._segment_for(key), ("v", key), ("v", key, entry))
 
-    def put_plan(self, key: CanonicalKey, plan: TestPlan) -> None:
-        self._check_writable()
-        faultinject.on_store_put()
-        if self._plans.get(key) is not None:
-            return
-        self._plans[key] = plan
-        self._queue(self._segment_for(key), ("p", key), ("p", key, plan))
-
     def put_report(self, token: str, value: object) -> None:
         """Persist one report document under its content token.
 
@@ -1353,14 +1235,6 @@ class VerdictStore:
         self._reports[token] = value
         self._queue(self._segment_for(token), ("d", token), ("d", token, value))
 
-    def mark_chunk(self, token: str, build: int, seq: int) -> None:
-        self._check_writable()
-        marker = (token, build, seq)
-        if marker in self._chunks:
-            return
-        self._chunks.add(marker)
-        self._queue(self._meta, ("c",) + marker, ("c", token, build, seq))
-
     def mark_run(self, token: str, label: str) -> None:
         self._check_writable()
         marker = (token, label)
@@ -1371,16 +1245,24 @@ class VerdictStore:
         self._runs.append(marker)
         self._queue(self._meta, identity, ("r", token, label))
 
+    # ``benchmarks/e2e/spans.py`` still binds these two names; the next
+    # benchmark change drops that binding, and then these methods.
+    def get_plan(self, key: CanonicalKey) -> None:
+        return None
+
+    def put_plan(self, key: CanonicalKey, plan: object) -> None:
+        return None
+
     # -- durability -------------------------------------------------------
 
     def checkpoint(self) -> None:
         """Flush and fsync buffered appends (a durability barrier).
 
-        Data shards flush before the meta shard, so a chunk/run marker
-        is never durable before the verdicts it covers — the resume
-        protocol's ordering invariant, preserved across shards.
+        Data shards flush before the meta shard, so a run or routine
+        marker is never durable before the verdicts it covers — the
+        resume protocol's ordering invariant, preserved across shards.
         """
-        if self._closed or self.read_only:
+        if self._closed:
             return
         for segment in self._segments:
             if segment.pending:
@@ -1468,21 +1350,20 @@ class VerdictStore:
         """Rewrite every shard's live state as fresh, delta-packed segments.
 
         Verdicts rewrite as plain records (the hot replay path stays
-        cheap to poll); plans and report documents — near-identical
-        pickles — are grouped :data:`GROUP_SIZE` at a time and
-        delta-compressed against a shared base (``g`` records, the
-        groupcompress idiom), which is what keeps a corpus-scale store
-        small.  Returns a :class:`CompactionResult` (unpacks as the
-        historical ``(before, after)`` byte totals; per-shard deltas
-        ride in ``.shards``).
+        cheap to poll); report documents — near-identical pickles — are
+        grouped :data:`GROUP_SIZE` at a time and delta-compressed
+        against a shared base (``g`` records, the groupcompress idiom),
+        which is what keeps a corpus-scale store small.  Returns a
+        :class:`CompactionResult` (unpacks as the historical ``(before,
+        after)`` byte totals; per-shard deltas ride in ``.shards``).
 
         Each shard is rewritten under its lock via temp file + atomic
         rename, so a crash mid-compaction leaves that shard's old
         segment intact and every other shard either fully old or fully
         new — never mixed within one segment.  Quarantined shards are
-        skipped.  Chunk markers and deduped routine markers survive
-        (resume state must not be lost to maintenance); of the plain
-        run markers only the latest is kept.
+        skipped.  Deduped routine markers survive (resume state must not
+        be lost to maintenance); of the plain run markers only the
+        latest is kept.
         """
         self._check_writable()
         self.checkpoint()
@@ -1516,29 +1397,23 @@ class VerdictStore:
                         pickle.dumps(("v", identity[1], entry), protocol=4)
                     ))
                     keys.add(identity)
-                for kind, live in (("p", self._plans), ("d", self._reports)):
-                    payloads: List[bytes] = []
-                    for identity in sorted(
-                        (i for i in segment.keys if i[0] == kind),
-                        key=lambda i: repr(i[1]),
-                    ):
-                        value = live.get(identity[1])
-                        if value is None:
-                            continue
-                        payloads.append(pickle.dumps(
-                            (kind, identity[1], value), protocol=4
-                        ))
-                        keys.add(identity)
-                    for start in range(0, len(payloads), GROUP_SIZE):
-                        body.write(_encode_record(
-                            _encode_group(payloads[start:start + GROUP_SIZE])
-                        ))
+                payloads: List[bytes] = []
+                for identity in sorted(
+                    (i for i in segment.keys if i[0] == "d"),
+                    key=lambda i: repr(i[1]),
+                ):
+                    value = self._reports.get(identity[1])
+                    if value is None:
+                        continue
+                    payloads.append(pickle.dumps(
+                        ("d", identity[1], value), protocol=4
+                    ))
+                    keys.add(identity)
+                for start in range(0, len(payloads), GROUP_SIZE):
+                    body.write(_encode_record(
+                        _encode_group(payloads[start:start + GROUP_SIZE])
+                    ))
                 if segment is self._meta:
-                    for token, build, seq in sorted(self._chunks):
-                        body.write(_encode_record(pickle.dumps(
-                            ("c", token, build, seq), protocol=4
-                        )))
-                        keys.add(("c", token, build, seq))
                     kept: List[Tuple[str, str]] = []
                     last_plain: Optional[Tuple[str, str]] = None
                     for marker in self._runs:
@@ -1580,12 +1455,11 @@ class VerdictStore:
         """
         if self._closed:
             return
-        if not self.read_only:
-            try:
-                self.checkpoint()
-            finally:
-                for segment in self._all_segments():
-                    segment.lock.cleanup()
+        try:
+            self.checkpoint()
+        finally:
+            for segment in self._all_segments():
+                segment.lock.cleanup()
         self._closed = True
 
     def __enter__(self) -> "VerdictStore":
@@ -1596,103 +1470,41 @@ class VerdictStore:
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
-        if self.read_only:
-            state += ", read-only v1"
         return (
             f"VerdictStore({str(self.path)!r}, {len(self)} verdicts, "
-            f"{self.plan_count} plans, {state})"
+            f"{self.report_count} reports, {state})"
         )
 
     # -- offline scanning --------------------------------------------------
 
     @classmethod
     def scan(cls, path: os.PathLike) -> StoreReport:
-        """Parse a store (v2 directory or v1 file) without repairing it.
+        """Parse a store directory without repairing it.
 
         Used by ``repro-deps store verify``/``info``.  For a v2 store the
         report aggregates every segment; per-segment sub-reports are in
         ``report.shards``.
         """
         path = Path(path)
-        if path.is_dir():
-            parsed, reason = cls.read_manifest(path)
-            report = StoreReport(path=path, version=STORE_VERSION)
-            if parsed is None:
-                report.rebuilt = True
-                report.problems.append(reason)
-                return report
-            shard_count, salt = parsed
-            report.shard_count = shard_count
-            report.salt = salt
-            for i in range(shard_count):
-                sub, _ = _scan_segment_file(
-                    path / f"shard-{i:03d}.seg", f"shard {i}"
-                )
-                report.fold(sub)
-            sub, _ = _scan_segment_file(path / f"{META_SHARD}.seg", META_SHARD)
-            report.fold(sub)
+        if not path.is_dir():
+            report = StoreReport(path=path)
+            reason = "not a store directory" if path.exists() else "no such store"
+            report.problems.append("cannot read: " + reason)
             return report
-        report, _ = _scan_segment_file(path, "store")
+        parsed, reason = cls.read_manifest(path)
+        report = StoreReport(path=path, version=STORE_VERSION)
+        if parsed is None:
+            report.rebuilt = True
+            report.problems.append(reason)
+            return report
+        shard_count, salt = parsed
+        report.shard_count = shard_count
+        report.salt = salt
+        for i in range(shard_count):
+            sub, _ = _scan_segment_file(
+                path / f"shard-{i:03d}.seg", f"shard {i}"
+            )
+            report.fold(sub)
+        sub, _ = _scan_segment_file(path / f"{META_SHARD}.seg", META_SHARD)
+        report.fold(sub)
         return report
-
-
-# ---------------------------------------------------------------------------
-# v1 → v2 migration
-# ---------------------------------------------------------------------------
-
-
-def migrate_store(
-    path: os.PathLike, shards: int = DEFAULT_SHARDS
-) -> Tuple[int, int]:
-    """Upgrade a legacy v1 store *file* to a v2 shard directory in place.
-
-    Returns ``(verdicts, plans)`` migrated.  The new directory is built
-    beside the original, the v1 file is renamed to ``<name>.v1``, the
-    directory takes its place, and the backup is removed — so a crash at
-    any point leaves either the intact v1 file or a complete v2 store
-    (plus, mid-swap, the ``.v1`` backup to recover from by hand).
-
-    Raises :class:`StoreError` when ``path`` is not a readable v1 store
-    (an existing v2 directory is reported as already migrated).
-    """
-    path = Path(path)
-    if path.is_dir():
-        raise StoreError(f"store {path} is already a v{STORE_VERSION} directory")
-    if not path.exists():
-        raise StoreError(f"store {path} does not exist")
-    report, records = _scan_segment_file(path, "store")
-    if report.rebuilt:
-        raise StoreError(
-            f"store {path} is not a readable v1 store ({report.problems[0]})"
-        )
-    staging = path.with_name(path.name + ".migrate")
-    if staging.exists():
-        import shutil
-
-        shutil.rmtree(staging)
-    store = VerdictStore(staging, shards=shards)
-    try:
-        verdicts = plans = 0
-        for record in records:
-            kind = record[0]
-            if kind == "v" and not getattr(record[2], "assumed", False):
-                store.put(record[1], record[2])
-                verdicts += 1
-            elif kind == "p":
-                store.put_plan(record[1], record[2])
-                plans += 1
-            elif kind == "c":
-                store.mark_chunk(record[1], record[2], record[3])
-            elif kind == "r":
-                store.mark_run(record[1], record[2])
-    finally:
-        store.close()
-    backup = path.with_name(path.name + ".v1")
-    os.replace(path, backup)
-    os.replace(staging, path)
-    _fsync_dir(path.parent)
-    try:
-        os.unlink(backup)
-    except OSError:  # pragma: no cover - backup already gone
-        pass
-    return verdicts, plans

@@ -1,7 +1,7 @@
 """The long-running dependence-analysis service.
 
 ``repro-deps serve`` keeps one warm :class:`~repro.engine.engine.DependenceEngine`
-— interning pools, LRU verdict/plan tiers, a shared persistent store —
+— interning pools, the LRU verdict cache, a shared persistent store —
 resident behind a small stdlib-``asyncio`` HTTP front end, so the
 corpus-wide canonical-key hit rate the paper's empirical argument rests
 on accumulates across clients rather than being rebuilt per CLI

@@ -1,8 +1,8 @@
 """The long-running dependence-analysis service.
 
 ``repro-deps serve`` turns the engine into a resident process: one warm
-:class:`~repro.engine.engine.DependenceEngine` — interning pools, LRU
-verdict and plan tiers, a shared persistent store — serves every
+:class:`~repro.engine.engine.DependenceEngine` — interning pools, the
+LRU verdict cache, a shared persistent store — serves every
 request, so the corpus-wide hit rate the paper's empirical argument
 rests on accumulates across *clients*, not just within one CLI
 invocation.
@@ -497,7 +497,6 @@ class DependenceService:
                             "where": request.name,
                             "error": "request exceeded its deadline before "
                             "analysis completed; no partial graph available",
-                            "attempts": 1,
                         }
                     ],
                 },

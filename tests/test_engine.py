@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.corpus.generator import random_nest
+from repro.core.driver import test_dependence
 from repro.corpus.loader import default_symbols, load_corpus
 from repro.engine import CachedDriver, DependenceEngine, EngineStats
 from repro.engine.canonical import canonical_pair_key, rename_map
@@ -41,6 +42,19 @@ def graph_signature(graph):
 
 def recorder_rows(recorder):
     return sorted(recorder.rows())
+
+
+def result_signature(result):
+    """Everything observable about one pair's verdict, as plain data."""
+    return (
+        result.independent,
+        result.exact,
+        sorted(str(v) for v in result.direction_vectors),
+        [
+            (o.test, o.applicable, o.independent, o.exact)
+            for o in result.outcomes
+        ],
+    )
 
 
 def key_of(source, symbols=None):
@@ -171,14 +185,38 @@ class TestCachedDriver:
         pairs = list(iter_candidate_pairs(sites))
         fresh = TestRecorder()
         for first, second in pairs:
-            from repro.core.driver import test_dependence
-
             test_dependence(first, second, recorder=fresh)
         driver = CachedDriver()
         cached = TestRecorder()
         for first, second in pairs:
             driver(first, second, recorder=cached)
         assert recorder_rows(fresh) == recorder_rows(cached)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_eviction_parity_over_two_passes(self, seed):
+        """Capacity 1 evicts almost every verdict, so the second pass
+        re-tests pairs it tested before: both passes must match the
+        plain driver, verdicts and recorder rows alike."""
+        nodes = random_nest(seed, depth=2, statements=4, ndim=2)
+        symbols = default_symbols()
+        pairs = list(iter_candidate_pairs(collect_access_sites(nodes)))
+        plain_rec = TestRecorder()
+        plain = [
+            result_signature(
+                test_dependence(first, second, symbols=symbols, recorder=plain_rec)
+            )
+            for first, second in pairs
+        ]
+        driver = CachedDriver(symbols, capacity=1)
+        for _ in range(2):
+            recorder = TestRecorder()
+            cached = [
+                result_signature(driver(first, second, recorder=recorder))
+                for first, second in pairs
+            ]
+            assert cached == plain
+            assert recorder_rows(recorder) == recorder_rows(plain_rec)
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -253,10 +291,10 @@ class TestEngineStats:
         assert engine.stats.hit_rate > 0
 
     def test_merge_and_reset(self):
-        a = EngineStats(hits=2, misses=1, evictions=1, plan_hits=3, plan_misses=4)
+        a = EngineStats(hits=2, misses=1, evictions=1)
         b = EngineStats(hits=1, misses=1)
         b.merge(a)
-        assert b.hits == 3 and b.misses == 2 and b.plan_misses == 4
+        assert b.hits == 3 and b.misses == 2 and b.evictions == 1
         assert b.as_dict()["hit_rate"] == 0.6
         b.reset()
         assert b.lookups == 0 and b.hit_rate == 0.0

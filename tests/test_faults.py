@@ -109,9 +109,8 @@ class TestFaultSpecParsing:
 
 class TestFailureReporting:
     def test_record_str_and_dict(self):
-        record = FailureRecord("budget", "A(i) -> A(i+1)", "exhausted", attempts=3)
+        record = FailureRecord("budget", "A(i) -> A(i+1)", "exhausted")
         assert "[budget]" in str(record)
-        assert "after 3 attempts" in str(record)
         assert record.as_dict()["kind"] == "budget"
 
     def test_stats_kind_counters_and_report(self):

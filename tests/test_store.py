@@ -6,14 +6,15 @@ recovery rule (torn frame, CRC mismatch, undecodable record, schema
 mismatch) applied per shard, the multi-writer protocol (concurrent
 opens, per-batch locks, cross-process tail visibility, on-disk dedup),
 shard quarantine (lock starvation degrades one shard to memory-only,
-never the run), exponential lock backoff, sidecar cleanup, v1 read-only
-fallback and ``store migrate`` round-trip parity, the contamination
-guarantee (assumed verdicts refused), the checkpoint log, the ``store``
-CLI subcommands, and the headline robustness property: a run killed
-mid-write (``store-die`` injection — an ``os._exit`` with unflushed
-buffers, the same torn-tail state a SIGKILL produces) reopens cleanly
-and ``--resume`` reproduces the uninterrupted run's output
-byte-for-byte with verdicts served from the store.
+never the run), exponential lock backoff, sidecar cleanup, the refusal
+of a ``--store`` path that is an ordinary file (left byte-for-byte
+intact), the contamination guarantee (assumed verdicts refused), the
+checkpoint log, the ``store`` CLI subcommands, and the headline
+robustness property: a run killed mid-write (``store-die`` injection —
+an ``os._exit`` with unflushed buffers, the same torn-tail state a
+SIGKILL produces) reopens cleanly and ``--resume`` reproduces the
+uninterrupted run's output byte-for-byte with verdicts served from the
+store.
 """
 
 import os
@@ -32,9 +33,7 @@ from repro.engine import (
     CheckpointLog,
     StoreError,
     StoreLockError,
-    StoreReadOnlyError,
     VerdictStore,
-    migrate_store,
     run_token,
 )
 from repro.engine.store import (
@@ -73,7 +72,10 @@ KERNEL = """
 #: ``store-die`` point landing inside routine 2 of ``KERNEL``: routine 1's
 #: completion checkpoint (its ``mark_routine``) has already fsynced that
 #: routine's verdicts, so the killed run leaves durable progress behind.
-DIE_MID_RUN = 8
+#: The record stream is the run marker (append 1), routine 1's two
+#: verdicts (2-3) and marker (4), then routine 2's two verdicts (5-6) and
+#: marker (7); append 5 is routine 2's first verdict.
+DIE_MID_RUN = 5
 
 
 def subprocess_env():
@@ -115,7 +117,7 @@ def fill_store(path, seed=7, shards=None):
 
 
 def store_size(path):
-    """Total on-disk record bytes of a store (v2 directory or v1 file)."""
+    """Total on-disk record bytes of a store directory."""
     return VerdictStore.scan(path).size
 
 
@@ -135,39 +137,30 @@ def shard_report(report, label):
     raise AssertionError(f"no sub-report labeled {label!r} in {report.shards}")
 
 
-def write_v1_store(path, verdicts=(), plans=(), chunks=(), runs=()):
-    """Author a legacy v1 single-segment store file byte by byte."""
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(MAGIC, SCHEMA_VERSION))
-        for key, entry in verdicts:
-            handle.write(_encode_record(pickle.dumps(("v", key, entry), 4)))
-        for key, plan in plans:
-            handle.write(_encode_record(pickle.dumps(("p", key, plan), 4)))
-        for token, build, seq in chunks:
-            handle.write(
-                _encode_record(pickle.dumps(("c", token, build, seq), 4))
-            )
-        for token, label in runs:
-            handle.write(_encode_record(pickle.dumps(("r", token, label), 4)))
-
-
-@pytest.fixture()
-def v1_store(tmp_path):
-    """A populated legacy v1 file plus the keys it holds."""
-    staging = tmp_path / "staging.db"
-    nodes, keys = fill_store(staging)
+def write_old_schema_store(path, shards=2):
+    """A store directory as the previous schema (version 1) wrote it:
+    verdict, plan and chunk-marker records under a version-1 header."""
+    staging = path.with_name(path.name + ".donor")
+    fill_store(staging)
     with VerdictStore(staging) as donor:
         verdicts = list(donor._verdicts.items())
-        plans = list(donor._plans.items())
-    path = tmp_path / "legacy.db"
-    write_v1_store(
-        path,
-        verdicts=verdicts,
-        plans=plans,
-        chunks=[("tok", 0, 1)],
-        runs=[("tok", "analyze:x.f"), ("tok", "routine:kern")],
-    )
-    return path, nodes, keys
+    VerdictStore(path, shards=shards).close()
+    records = {f"shard-{i:03d}.seg": [] for i in range(shards)}
+    for i, (key, entry) in enumerate(verdicts):
+        shard = records[f"shard-{i % shards:03d}.seg"]
+        shard.append(("v", key, entry))
+        shard.append(("p", key, ("plan", key)))
+    records["meta.seg"] = [
+        ("r", "tok", "analyze:x.f"),
+        ("c", "tok", 0, 1),
+        ("r", "tok", "routine:kern"),
+    ]
+    for name, items in records.items():
+        with open(path / name, "wb") as handle:
+            handle.write(_HEADER.pack(MAGIC, 1))
+            for record in items:
+                handle.write(_encode_record(pickle.dumps(record, 4)))
+    return path
 
 
 class TestRecordFormat:
@@ -176,25 +169,27 @@ class TestRecordFormat:
         nodes, keys = fill_store(path)
         with VerdictStore(path) as store:
             assert len(store) > 0
-            assert store.plan_count > 0
             for key in keys:
                 assert store.contains(key)
                 assert store.get(key) is not None
-                assert store.get_plan(key) is not None
             assert store.recovered_report.clean
 
     def test_markers_round_trip(self, tmp_path):
         path = tmp_path / "s.db"
         with VerdictStore(path) as store:
             store.mark_run("tok1", "analyze:x.f")
-            store.mark_chunk("tok1", 0, 3)
-            store.mark_chunk("tok1", 1, 0)
-            store.mark_chunk("other", 0, 9)
+            store.mark_run("tok1", "routine:kern1")
+            store.mark_run("tok1", "routine:kern2")
+            store.mark_run("other", "routine:kern1")
+            store.mark_run("tok1", "routine:kern1")  # routine markers dedup
         with VerdictStore(path) as store:
-            assert store.runs() == [("tok1", "analyze:x.f")]
-            assert store.chunks_done("tok1") == {(0, 3), (1, 0)}
-            assert store.chunk_done("other", 0, 9)
-            assert not store.chunk_done("tok1", 0, 9)
+            assert store.runs() == [
+                ("tok1", "analyze:x.f"),
+                ("tok1", "routine:kern1"),
+                ("tok1", "routine:kern2"),
+                ("other", "routine:kern1"),
+            ]
+        assert VerdictStore.scan(path).runs == 4
 
     def test_put_dedups_by_key(self, tmp_path):
         path = tmp_path / "s.db"
@@ -349,10 +344,30 @@ class TestRecovery:
             segment.write_bytes(data)
         with VerdictStore(path) as store:
             assert len(store) == 0
-            assert store.plan_count == 0
+            assert store.report_count == 0
             assert any(sub.rebuilt for sub in store.recovered_report.shards)
         assert "rebuilt empty" in capsys.readouterr().err
         assert VerdictStore.scan(path).clean
+
+    def test_previous_schema_rebuilds_empty_and_stays_usable(
+        self, tmp_path, capsys
+    ):
+        """Segments of the previous schema, which held plan and chunk
+        records, open rebuilt empty through the schema rule; the store
+        then takes fresh writes and verifies clean."""
+        path = write_old_schema_store(tmp_path / "old.db")
+        with VerdictStore(path) as store:
+            assert len(store) == 0
+            assert store.runs() == []
+            assert all(sub.rebuilt for sub in store.recovered_report.shards)
+            store.mark_run("t", "after-rebuild")
+        err = capsys.readouterr().err
+        assert err.count("schema version 1") == 3  # two shards and meta
+        assert err.count("rebuilt empty") == 3
+        fill_store(path)
+        report = VerdictStore.scan(path)
+        assert report.clean
+        assert report.verdicts > 0 and report.runs == 1
 
     def test_one_bad_shard_leaves_the_rest(self, tmp_path):
         """Per-shard isolation: a destroyed segment loses only its keys."""
@@ -369,14 +384,23 @@ class TestRecovery:
             assert len(store) > 0  # the other shards' verdicts survive
             assert sum(1 for key in keys if store.get(key) is not None) > 0
 
-    def test_bad_magic_file_rebuilds_as_v2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        [b"not a store at all", _HEADER.pack(MAGIC, 1)],
+        ids=["notes", "single-file-segment"],
+    )
+    def test_existing_file_is_refused_and_kept(self, tmp_path, body):
+        """An ordinary file at the store path, even one that starts like
+        a segment, is refused and never deleted or replaced."""
         path = tmp_path / "s.db"
-        path.write_bytes(b"not a store at all")
-        with VerdictStore(path) as store:
-            assert len(store) == 0
-            assert not store.read_only
-        assert path.is_dir()
-        assert VerdictStore.scan(path).clean
+        path.write_bytes(body)
+        with pytest.raises(StoreError, match="not a store directory"):
+            VerdictStore(path)
+        assert path.read_bytes() == body
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.db"]
+        report = VerdictStore.scan(path)
+        assert not report.clean
+        assert "not a store directory" in report.problems[0]
 
     def test_recovered_store_still_writable(self, tmp_path):
         path = tmp_path / "s.db"
@@ -479,10 +503,16 @@ class TestMultiWriter:
         a = VerdictStore(path)
         b = VerdictStore(path)
         try:
-            a.mark_chunk("tok", 0, 5)
+            a.mark_run("tok", "analyze:x.f")
+            a.mark_run("tok", "routine:kern")
+            assert b.runs() == []  # buffered in a: invisible
             a.checkpoint()
-            assert b.chunk_done("tok", 0, 5)
-            assert b.chunks_done("tok") == {(0, 5)}
+            assert b.runs() == [
+                ("tok", "analyze:x.f"), ("tok", "routine:kern"),
+            ]
+            log = CheckpointLog(b, "tok")
+            assert log.prior_runs == 1
+            assert log.prior_routines == {"kern"}
         finally:
             a.close()
             b.close()
@@ -687,70 +717,6 @@ class TestCloseDrainsFinalEvents:
         store.close()
 
 
-class TestReadOnlyFallbackAndMigration:
-    def test_v1_opens_read_only(self, v1_store):
-        path, nodes, keys = v1_store
-        with VerdictStore(path) as store:
-            assert store.read_only
-            assert len(store) > 0
-            served = sum(1 for key in keys if store.get(key) is not None)
-            assert served == len(store._verdicts)
-            assert ("tok", "analyze:x.f") in store.runs()
-            assert store.chunk_done("tok", 0, 1)
-            with pytest.raises(StoreReadOnlyError, match="read-only"):
-                store.mark_run("t", "l")
-        assert path.is_file()  # fallback never rewrites the v1 file
-
-    def test_checkpoint_log_skips_writes_on_read_only(self, v1_store):
-        path, _, _ = v1_store
-        with VerdictStore(path) as store:
-            log = CheckpointLog(store, "tok")
-            assert log.resumable  # prior v1 markers still read
-            log.begin_run("label")  # silently skipped, no raise
-            log.mark_chunk(0)
-            log.mark_routine("kern")
-
-    def test_migrate_round_trip_parity(self, v1_store):
-        path, nodes, keys = v1_store
-        with VerdictStore(path) as before:
-            v1_verdicts = dict(before._verdicts)
-            v1_plans = dict(before._plans)
-        verdicts, plans = migrate_store(path, shards=4)
-        assert verdicts == len(v1_verdicts)
-        assert plans == len(v1_plans)
-        assert path.is_dir()
-        assert not path.with_name(path.name + ".v1").exists()
-        report = VerdictStore.scan(path)
-        assert report.clean
-        assert report.shard_count == 4
-        with VerdictStore(path) as after:
-            assert not after.read_only
-            assert len(after) == len(v1_verdicts)
-            for key, entry in v1_verdicts.items():
-                got = after.get(key)
-                assert got is not None
-                assert got.independent == entry.independent
-                assert got.vectors == entry.vectors
-            for key in v1_plans:
-                assert after.get_plan(key) is not None
-            assert ("tok", "analyze:x.f") in after.runs()
-            assert after.chunk_done("tok", 0, 1)
-            after.mark_run("t", "writable-again")
-
-    def test_migrate_rejects_non_v1(self, tmp_path):
-        missing = tmp_path / "absent.db"
-        with pytest.raises(StoreError, match="does not exist"):
-            migrate_store(missing)
-        garbage = tmp_path / "garbage.db"
-        garbage.write_bytes(b"nonsense")
-        with pytest.raises(StoreError, match="not a readable v1"):
-            migrate_store(garbage)
-        v2 = tmp_path / "v2.db"
-        VerdictStore(v2).close()
-        with pytest.raises(StoreError, match="already"):
-            migrate_store(v2)
-
-
 class TestCheckpointLog:
     def test_run_token_stable_and_discriminating(self):
         assert run_token("analyze", "src") == run_token("analyze", "src")
@@ -765,19 +731,16 @@ class TestCheckpointLog:
             assert not log.resumable
             assert "no checkpoint" in log.resume_summary()
             log.begin_run("analyze:x.f")
-            assert log.begin_build() == 0
-            log.mark_chunk(0)
-            log.mark_chunk(1)
-            log.mark_routine("kern")
+            log.mark_routine("kern1")
+            log.mark_routine("kern2")
         with VerdictStore(path) as store:
             log = CheckpointLog(store, token)
             assert log.resumable
-            assert log.prior_chunks == {(0, 0), (0, 1)}
-            assert log.prior_routines == {"kern"}
+            assert log.prior_runs == 1
+            assert log.prior_routines == {"kern1", "kern2"}
             summary = log.resume_summary()
             assert "resuming" in summary
-            assert "1 routine(s)" in summary
-            assert "2 chunk(s)" in summary
+            assert "2 routine(s)" in summary
             # A different input's token sees none of it.
             other = CheckpointLog(store, run_token("analyze", "y"))
             assert not other.resumable
@@ -929,29 +892,34 @@ class TestStoreCli:
         assert code == 0
         assert VerdictStore.scan(db).verdicts > 0
 
-    def test_v1_store_read_only_hint(self, kernel_file, tmp_path, capsys):
-        db = tmp_path / "legacy.db"
-        write_v1_store(db, runs=[("tok", "old")])
-        assert main(["analyze", str(kernel_file), "--store", str(db)]) == 0
-        err = capsys.readouterr().err
-        assert "read" in err and "migrate" in err
-        assert db.is_file()  # untouched
+    def test_source_file_as_store_is_refused(self, kernel_file, capsys):
+        """``analyze F --store F`` must not delete the file it just read."""
+        before = kernel_file.read_bytes()
+        code = main(["analyze", str(kernel_file), "--store", str(kernel_file)])
+        assert code == 4
+        assert "not a store directory" in capsys.readouterr().err
+        assert kernel_file.read_bytes() == before
 
-    def test_migrate_cli(self, kernel_file, tmp_path, capsys):
-        db = tmp_path / "s.db"
-        write_v1_store(db, chunks=[("tok", 0, 1)], runs=[("tok", "old")])
-        assert main(["store", "migrate", str(db), "--shards", "2"]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert db.is_dir()
-        assert main(["store", "verify", str(db)]) == 0
-        capsys.readouterr()
-        # And the upgraded store is writable by analyze.
-        assert main(["analyze", str(kernel_file), "--store", str(db)]) == 0
-        assert VerdictStore.scan(db).verdicts > 0
-
-    def test_migrate_missing_exits_4(self, tmp_path, capsys):
-        assert main(["store", "migrate", str(tmp_path / "absent.db")]) == 4
-        assert "cannot migrate" in capsys.readouterr().err
+    def test_ordinary_file_as_store_is_refused_everywhere(
+        self, kernel_file, tmp_path, capsys
+    ):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("keep me\n")
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        (tree / "kern.f").write_text(KERNEL)
+        for argv in (
+            ["analyze", str(kernel_file)],
+            ["study", "--table", "3", "--suite", "linpack"],
+            ["corpus", "run", str(tree)],
+            ["serve", "--port", "0"],
+        ):
+            assert main([*argv, "--store", str(notes)]) == 4, argv
+            assert "not a store directory" in capsys.readouterr().err
+            assert notes.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "kern.f", "notes.txt", "tree",
+        ]
 
     def test_study_store_round_trip(self, tmp_path, capsys):
         db = tmp_path / "study.db"
@@ -1078,6 +1046,8 @@ class TestKillAndResume:
 
     def test_killed_run_store_verifies_after_reopen(self, kernel_file, tmp_path):
         db = tmp_path / "s.db"
+        # Append 3 is routine 1's second verdict, inside its first
+        # data flush (see DIE_MID_RUN).
         killed = run_cli(
             ["analyze", str(kernel_file), "--store", str(db)],
             faults="store-die:3",
