@@ -7,17 +7,18 @@ Three measurements over the bundled kernel corpus (every routine):
   no store;
 * **store cold** — the same pass with a write-through store attached:
   the delta is the price of persistence (pickling + buffered appends +
-  per-routine fsync'd checkpoints);
+  an fsync'd checkpoint every ``CHECKPOINT_INTERVAL`` records);
 * **store replay** — a fresh engine (cold memory tier) reopening the
   populated store: every verdict served from disk, no test runs — the
   resumed-run fast path.
 
 A fourth, **contention**, section runs the store-cold workload in two
-concurrent writer processes sharing one v2 store directory: the
-per-batch shard locks mean neither process excludes the other, so the
-interesting numbers are the wall-clock cost of sharing and how many
-verdicts each writer served from the other's freshly flushed shard
-tails (cross-process hits).
+concurrent writer processes sharing one store directory: the store
+lock is held per append batch, not per process, so neither process
+excludes the other, and the interesting numbers are the wall-clock
+cost of sharing and how many verdicts each writer served from the
+other's freshly flushed records (cross-process hits).  A tail read
+fetches only the bytes appended since the reader's last look.
 
 Results land in ``BENCH_store.json`` and are **gated**: CI feeds a
 fresh run to ``check_bench_regression.py --store`` which fails on a

@@ -7,11 +7,13 @@ the committed ``BENCH_engine.json``.  The check fails when
 * any workload's *warm* cached speedup regresses by more than the allowed
   fraction (default 25%) relative to the baseline,
 * a fresh workload no longer reports byte-identical verdicts,
-* warm per-pair latency (p50 or p95) exceeds the baseline by more than
-  ``--latency-tolerance`` (default 1.0, i.e. 2x) — absolute latency is
-  machine-dependent, so this is a coarse guard against structural
-  regressions (an accidental O(n^2) in the per-pair path), not a tight
-  performance bound.
+* warm per-pair latency (p50 or p95), taken as a ratio to the same
+  run's serial per-pair time (``serial_s / pairs``), exceeds the
+  baseline's ratio by more than ``--latency-tolerance`` (default 1.0,
+  i.e. 2x).  Absolute microseconds follow the runner's speed of the
+  moment; the ratio cancels it, like the warm speedup does.  It is a
+  coarse guard against structural regressions (an accidental O(n^2) in
+  the per-pair path), not a tight performance bound.
 
 With ``--store FRESH_STORE_JSON`` the check also gates the store
 benchmark (``bench_store.py`` vs the committed ``BENCH_store.json``):
@@ -57,25 +59,36 @@ def load(path: Path) -> dict:
 LATENCY_KEYS = ("pair_latency_warm_p50_us", "pair_latency_warm_p95_us")
 
 
+def latency_ratio(workload: dict, key: str):
+    """Warm pair latency over the same run's serial per-pair time."""
+    value = workload.get(key)
+    serial_s, pairs = workload.get("serial_s"), workload.get("pairs")
+    if not value or not serial_s or not pairs:
+        return None
+    return value / (serial_s * 1e6 / pairs)
+
+
 def check_latencies(
     name: str, current: dict, base: dict, latency_tolerance: float, failures
 ) -> None:
-    """Fresh warm pair latencies must stay within tolerance of baseline."""
+    """Fresh warm pair latencies, as ratios to the serial per-pair time,
+    must stay within tolerance of the baseline's ratios."""
     for key in LATENCY_KEYS:
-        base_value = base.get(key)
-        value = current.get(key)
-        if not base_value or not value:
+        base_ratio = latency_ratio(base, key)
+        ratio = latency_ratio(current, key)
+        if base_ratio is None or ratio is None:
             continue
-        ceiling = base_value * (1.0 + latency_tolerance)
-        status = "OK" if value <= ceiling else "REGRESSION"
+        ceiling = base_ratio * (1.0 + latency_tolerance)
+        status = "OK" if ratio <= ceiling else "REGRESSION"
         print(
-            f"{name}: {key} {value:.2f}us vs baseline {base_value:.2f}us "
-            f"(ceiling {ceiling:.2f}us) ... {status}"
+            f"{name}: {key} {current[key]:.2f}us is {ratio:.4f} of a serial "
+            f"pair vs baseline {base_ratio:.4f} (ceiling {ceiling:.4f}) "
+            f"... {status}"
         )
-        if value > ceiling:
+        if ratio > ceiling:
             failures.append(
-                f"{name}: {key} {value:.2f}us exceeded {ceiling:.2f}us "
-                f"({latency_tolerance:.0%} over baseline {base_value:.2f}us)"
+                f"{name}: {key} ratio {ratio:.4f} exceeded {ceiling:.4f} "
+                f"({latency_tolerance:.0%} over baseline {base_ratio:.4f})"
             )
 
 
@@ -182,8 +195,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--latency-tolerance", type=float, default=1.0,
-        help="allowed fractional warm pair-latency rise over baseline "
-             "(default 1.0, i.e. up to 2x)",
+        help="allowed fractional rise of the warm pair-latency ratio "
+             "(to the serial per-pair time) over baseline (default 1.0, "
+             "i.e. up to 2x)",
     )
     parser.add_argument(
         "--store", type=Path, default=None, metavar="JSON",

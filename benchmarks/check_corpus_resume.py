@@ -24,7 +24,6 @@ over time.
 Usage::
 
     python benchmarks/check_corpus_resume.py [--seed N] [--files N]
-        [--store-shards N]
 """
 
 from __future__ import annotations
@@ -87,10 +86,6 @@ def main(argv=None):
         "--seed", type=int, default=None,
         help="kill-point RNG seed (default: fresh entropy, printed)",
     )
-    parser.add_argument(
-        "--store-shards", type=int, default=None,
-        help="shard count for the store directory (default: store default)",
-    )
     args = parser.parse_args(argv)
     seed = (
         args.seed
@@ -98,13 +93,7 @@ def main(argv=None):
         else random.SystemRandom().randint(0, 10**6)
     )
     rng = random.Random(seed)
-    shard_args = (
-        ["--store-shards", str(args.store_shards)]
-        if args.store_shards is not None
-        else []
-    )
-    print(f"seed: {seed}  files: {args.files}  "
-          f"shards: {args.store_shards or 'default'}")
+    print(f"seed: {seed}  files: {args.files}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
@@ -126,7 +115,7 @@ def main(argv=None):
         kill_at = rng.randint(2, args.files)
         print(f"killing at file {kill_at} of {args.files}")
         killed = run_cli(
-            ["corpus", "run", str(tree), "--store", str(db), *shard_args],
+            ["corpus", "run", str(tree), "--store", str(db)],
             faults=f"die-file:{kill_at}",
             extra_env={"REPRO_FAULT_MARKER": str(marker)},
         )
@@ -150,7 +139,7 @@ def main(argv=None):
 
         # -- resume phase ----------------------------------------------
         resumed = run_cli(
-            ["corpus", "run", str(tree), "--store", str(db), *shard_args]
+            ["corpus", "run", str(tree), "--store", str(db)]
         )
         if resumed.returncode != 0:
             print(f"FAIL: resume exited {resumed.returncode}", file=sys.stderr)
@@ -182,7 +171,7 @@ def main(argv=None):
 
         # -- no-op phase -----------------------------------------------
         noop = run_cli(
-            ["corpus", "run", str(tree), "--store", str(db), *shard_args]
+            ["corpus", "run", str(tree), "--store", str(db)]
         )
         if noop.returncode != 0 or noop.stdout != reference.stdout:
             print("FAIL: no-op pass diverged or failed", file=sys.stderr)

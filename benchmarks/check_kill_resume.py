@@ -8,18 +8,20 @@ end-to-end against a real corpus kernel:
 2. run it again with ``--store``, injecting ``store-die:<k>`` so the
    process dies uncleanly (``os._exit`` mid-append — the torn-tail state
    a SIGKILL or power loss leaves) at a randomly chosen append;
-3. reopen with ``--resume`` → must exit 0, recover whatever tail the
-   kill left, and print a dependence graph **byte-identical** (after
-   masking the global statement-label counter) to the reference;
+3. rerun with the same ``--store`` → must exit 0, recover whatever tail
+   the kill left, print a dependence graph **byte-identical** (after
+   masking the global statement-label counter) to the reference, and
+   serve at least as many store hits as the killed run left durable
+   verdicts;
 4. ``repro-deps store verify`` on the recovered store must report clean.
 
 With ``--writers 2`` the gate becomes the concurrency stress variant:
 *two* simultaneous writer processes share the store, each is killed at
 its own random append, and the resume phase runs two overlapping
-``--resume`` processes — both must print the reference graph, and at
-least one must report nonzero *cross-process* store hits (verdicts
-folded from the other writer's freshly appended shard tail, not from
-the store it opened with).
+processes — both must print the reference graph, and at least one must
+report nonzero *cross-process* store hits (verdicts folded from the
+other writer's freshly appended records, not from the store it opened
+with).
 
 Exits non-zero on any divergence.  ``--seed`` pins the kill point(s) for
 reproduction; by default it is drawn fresh so CI walks the whole space
@@ -28,7 +30,7 @@ over time.
 Usage::
 
     python benchmarks/check_kill_resume.py [--seed N] [--kernel PATH]
-        [--store-shards N] [--writers {1,2}]
+        [--writers {1,2}]
 """
 
 from __future__ import annotations
@@ -99,14 +101,14 @@ def foreign_hits(stdout):
     return int(match.group(1)) if match else 0
 
 
+def store_hits(stdout):
+    """Verdicts served from the store, as ``--counts`` reports them."""
+    match = re.search(r"store: (\d+) hits", stdout)
+    return int(match.group(1)) if match else 0
+
+
 def check_graph(stdout, reference, who):
-    banner, _, rest = stdout.partition("\n")
-    if "resuming" not in banner and "no checkpoint" not in banner:
-        print(f"FAIL: {who}: missing resume banner, got: {banner}",
-              file=sys.stderr)
-        return False
-    print(f"{who} banner: {banner}")
-    if normalize(graph_body(rest.lstrip("\n"))) != normalize(
+    if normalize(graph_body(stdout)) != normalize(
         graph_body(reference.stdout)
     ):
         print(f"FAIL: {who}: resumed dependence graph diverges from "
@@ -114,7 +116,7 @@ def check_graph(stdout, reference, who):
         print("--- reference ---", file=sys.stderr)
         print(normalize(graph_body(reference.stdout)), file=sys.stderr)
         print(f"--- {who} ---", file=sys.stderr)
-        print(normalize(graph_body(rest)), file=sys.stderr)
+        print(normalize(graph_body(stdout)), file=sys.stderr)
         return False
     return True
 
@@ -127,24 +129,14 @@ def main(argv=None):
         help="kill-point RNG seed (default: fresh entropy, printed)",
     )
     parser.add_argument(
-        "--store-shards", type=int, default=None,
-        help="shard count for the store directory (default: store default)",
-    )
-    parser.add_argument(
         "--writers", type=int, choices=(1, 2), default=1,
         help="concurrent writer processes in the kill and resume phases",
     )
     args = parser.parse_args(argv)
     seed = args.seed if args.seed is not None else random.SystemRandom().randint(0, 10**6)
     rng = random.Random(seed)
-    shard_args = (
-        ["--store-shards", str(args.store_shards)]
-        if args.store_shards is not None
-        else []
-    )
     print(f"kernel: {args.kernel}")
-    print(f"seed: {seed}  writers: {args.writers}  "
-          f"shards: {args.store_shards or 'default'}")
+    print(f"seed: {seed}  writers: {args.writers}")
 
     reference = run_cli(["analyze", str(args.kernel), "--counts"])
     if reference.returncode != 0:
@@ -157,7 +149,7 @@ def main(argv=None):
 
         # Size the record stream so the kill point always lands inside it.
         probe = run_cli(
-            ["analyze", str(args.kernel), "--store", str(probe_db), *shard_args]
+            ["analyze", str(args.kernel), "--store", str(probe_db)]
         )
         if probe.returncode != 0:
             print(probe.stderr, file=sys.stderr)
@@ -187,7 +179,7 @@ def main(argv=None):
             marker = Path(tmp) / f"kill-fired-{i}"
             markers.append(marker)
             writers.append(spawn_cli(
-                ["analyze", str(args.kernel), "--store", str(db), *shard_args],
+                ["analyze", str(args.kernel), "--store", str(db)],
                 faults=f"store-die:{kill_at}",
                 extra_env={"REPRO_FAULT_MARKER": str(marker)},
             ))
@@ -226,8 +218,7 @@ def main(argv=None):
 
         # -- resume phase ----------------------------------------------
         resume_args = [
-            "analyze", str(args.kernel),
-            "--store", str(db), "--resume", "--counts", *shard_args,
+            "analyze", str(args.kernel), "--store", str(db), "--counts",
         ]
         outputs = []
         if args.writers == 1:
@@ -243,7 +234,7 @@ def main(argv=None):
             # one is spawned first, so it is already open (its open-time
             # fold done) before the fast one starts flushing; every
             # verdict the fast one then checkpoints ahead of the slow
-            # one's crawl reaches the slow one as a shard-tail fold — a
+            # one's crawl reaches the slow one as a tail fold — a
             # cross-process store hit.
             second = spawn_cli(resume_args, faults="pair-delay:0.6")
             first = spawn_cli(resume_args, faults="pair-delay:0.2")
@@ -266,15 +257,16 @@ def main(argv=None):
                 return 1
         print("resumed graph is byte-identical to the reference")
 
-        served = 0
-        for out in outputs:
-            hits = re.search(r"store: (\d+) hits", out)
-            served += int(hits.group(1)) if hits else 0
-        print(f"verdicts served from the store: {served}")
-        if survivors.verdicts > 0 and served == 0:
-            print("FAIL: durable verdicts existed but none were served",
-                  file=sys.stderr)
-            return 1
+        # Every durable verdict is a pair of this kernel, so each rerun
+        # looks it up and must find it in the store.
+        for i, out in enumerate(outputs):
+            served = store_hits(out)
+            print(f"resumer {i}: {served} verdict(s) served from the store")
+            if served < survivors.verdicts:
+                print(f"FAIL: resumer {i} served {served} store hit(s) "
+                      f"for {survivors.verdicts} durable verdict(s)",
+                      file=sys.stderr)
+                return 1
         if args.writers > 1:
             foreign = sum(foreign_hits(out) for out in outputs)
             print(f"cross-process store hits: {foreign}")

@@ -14,25 +14,26 @@ Subcommands:
 * ``store {info,verify,compact}`` — inspect, check, or compact a
   persistent verdict store created with ``--store``.
 
-``analyze`` and ``study`` accept ``--store PATH`` (write-through
-crash-safe verdict persistence; format v2 stores are shard directories
-that any number of concurrent processes may share — ``--store-shards``
-sets the shard count at creation) and ``--resume`` (continue a killed
-``--store`` run from its last checkpoint; previously tested pairs are
-served from the store and the output is byte-identical to an
-uninterrupted run).  A ``--store`` path that exists but is not a store
-directory is refused (exit 4) and left untouched.
+``analyze``, ``study``, ``serve`` and ``corpus run`` accept ``--store
+PATH``: write-through crash-safe verdict persistence in a directory
+holding one segment, which any number of concurrent processes may
+share.  ``analyze`` and ``study`` checkpoint after every routine, so
+rerunning a killed ``--store`` run serves every pair it finished from
+the store and prints output byte-identical to an uninterrupted run.  A
+``--store`` path that exists but is not a store directory (an ordinary
+file, or a directory that is neither empty nor holds ``store.seg``) is
+refused (exit 4) and left untouched.
 
 Exit codes: 0 — success (including degraded runs that assumed some
 verdicts after absorbed faults; a fault report is printed); 1 — input
 file unreadable; 2 — Fortran syntax error (a diagnostic with line,
 column, and caret is printed, never a traceback) or bad command line;
 3 — ``--strict`` run aborted on the first engine fault; 4 — verdict
-store unusable (unreadable path, or a file that is not a store
+store unusable (unreadable path, or a path that is not a store
 directory) or ``store verify`` found unrecoverable corruption.
-Shard-scoped store failures (lock starvation, one corrupt segment) do
-*not* change the exit code: the affected shard is quarantined, the run
-continues memory-only for those keys, and the fault report says so.
+Store failures during a run (lock starvation, an unwritable segment,
+``ENOSPC``) do *not* change the exit code: the store is detached, the
+run continues memory-only, and the fault report says so.
 """
 
 from __future__ import annotations
@@ -48,14 +49,11 @@ from repro.corpus.loader import (
     default_symbols,
 )
 from repro.engine import (
-    DEFAULT_SHARDS,
-    CheckpointLog,
     DependenceEngine,
     EngineFaultError,
     FaultPolicy,
     StoreError,
     VerdictStore,
-    run_token,
 )
 from repro.engine.faults import FailureRecord
 from repro.fortran.errors import FortranSyntaxError
@@ -112,16 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="persist verdicts to a crash-safe store at "
         "PATH (created if missing; reused entries skip re-testing)",
     )
-    analyze.add_argument(
-        "--resume", action="store_true",
-        help="resume a killed --store run from its last checkpoint "
-        "(requires --store)",
-    )
-    analyze.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help=f"shard count when creating a new store (default "
-        f"{DEFAULT_SHARDS}; an existing store keeps its manifest count)",
-    )
 
     study = sub.add_parser("study", help="regenerate the paper's tables")
     study.add_argument("--table", type=int, choices=(1, 2, 3), default=None)
@@ -135,16 +123,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--store", type=Path, default=None, metavar="PATH",
         help="persist verdicts to a crash-safe store at "
         "PATH (created if missing; reused entries skip re-testing)",
-    )
-    study.add_argument(
-        "--resume", action="store_true",
-        help="resume a killed --store run from its last checkpoint "
-        "(requires --store)",
-    )
-    study.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help=f"shard count when creating a new store (default "
-        f"{DEFAULT_SHARDS}; an existing store keeps its manifest count)",
     )
 
     vector = sub.add_parser("vectorize", help="Allen-Kennedy vectorization")
@@ -164,11 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument(
         "--store", type=Path, default=None, metavar="PATH",
         help="share a persistent verdict store across requests and restarts",
-    )
-    serve.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help=f"shard count when creating a new store (default "
-        f"{DEFAULT_SHARDS})",
     )
     serve.add_argument(
         "--max-in-flight", type=int, default=4, metavar="N",
@@ -239,11 +212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "left off",
     )
     corpus_run.add_argument(
-        "--store-shards", type=int, default=None, metavar="N",
-        help=f"shard count when creating a new store (default "
-        f"{DEFAULT_SHARDS}; an existing store keeps its manifest count)",
-    )
-    corpus_run.add_argument(
         "--rebuild", action="store_true",
         help="ignore stored reports and re-analyze every routine "
         "(refreshes the store in place)",
@@ -256,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     corpus_run.add_argument(
         "--compact", action="store_true",
         help="compact the store after the walk (delta-compresses "
-        "near-identical report records per shard)",
+        "near-identical report records)",
     )
 
     store = sub.add_parser(
@@ -264,17 +232,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     for name, text in (
-        ("info", "print store contents, per-shard breakdown, and "
-         "checkpoint summary"),
+        ("info", "print store contents, last checkpoint, and what "
+         "compaction would reclaim"),
         ("verify", "check every record, report per-recovery-rule drops; "
          "exit 4 on unrecoverable corruption"),
-        ("compact", "rewrite every shard, dropping superseded records"),
+        ("compact", "rewrite the store, dropping superseded records"),
     ):
         store_sub.add_parser(name, help=text).add_argument("path", type=Path)
 
     args = parser.parse_args(argv)
-    if getattr(args, "resume", False) and getattr(args, "store", None) is None:
-        parser.error("--resume requires --store PATH")
     if args.command == "analyze":
         return _analyze(args)
     if args.command == "study":
@@ -327,34 +293,22 @@ def _strict_abort(exc: EngineFaultError) -> int:
     return EXIT_STRICT_FAULT
 
 
-def _open_store(
-    path: Path, shards: Optional[int] = None
-) -> Optional[VerdictStore]:
+def _open_store(path: Path) -> Optional[VerdictStore]:
     """Open (or create) a verdict store; on failure print and return None.
 
-    Unreadable paths, an existing file that is not a store directory
+    Unreadable paths, an existing path that is not a store directory
     and I/O errors surface as one clean diagnostic — the caller maps
     None to :data:`EXIT_STORE_ERROR`.  Corrupt tails and schema
-    mismatches do *not* fail: the store recovers them per shard on open
-    (printing what it dropped) by design, and lock contention
-    quarantines the contended shard rather than failing the run.
+    mismatches do *not* fail: the store recovers them on open (printing
+    what it dropped) by design, and a lock held past the retry schedule
+    leaves a failed store that the engine detaches on first use, with
+    one ``store`` failure record, rather than failing the run.
     """
     try:
-        return VerdictStore(path, shards=shards)
-    except (StoreError, OSError, ValueError) as exc:
+        return VerdictStore(path)
+    except (StoreError, OSError) as exc:
         print(f"repro-deps: cannot open store '{path}': {exc}", file=sys.stderr)
         return None
-
-
-def _attach_checkpoint(
-    store: VerdictStore, token: str, label: str, resume: bool
-) -> CheckpointLog:
-    """Build the run's checkpoint log; print the resume banner if asked."""
-    log = CheckpointLog(store, token)
-    if resume:
-        print(log.resume_summary())
-    log.begin_run(label)
-    return log
 
 
 def _store(args: argparse.Namespace) -> int:
@@ -369,35 +323,15 @@ def _store(args: argparse.Namespace) -> int:
     if args.store_command == "info":
         report = VerdictStore.scan(path)
         if report.size == 0 and report.problems:
-            print(f"repro-deps: cannot read store '{path}'", file=sys.stderr)
+            print(
+                f"repro-deps: cannot read store '{path}': "
+                f"{report.problems[0]}",
+                file=sys.stderr,
+            )
             return EXIT_STORE_ERROR
         for line in report.lines():
             print(line)
         print(report.compaction_line())
-        store = _open_store(path)
-        if store is None:
-            return EXIT_STORE_ERROR
-        try:
-            runs = store.runs()
-            if runs:
-                token, label = next(
-                    (
-                        (t, lbl)
-                        for t, lbl in reversed(runs)
-                        if not lbl.startswith("routine:")
-                    ),
-                    runs[-1],
-                )
-                print(f"  last run: {label} (token {token})")
-                routines = len({
-                    lbl
-                    for t, lbl in runs
-                    if t == token and lbl.startswith("routine:")
-                })
-                if routines:
-                    print(f"  routines checkpointed: {routines}")
-        finally:
-            store.close()
         return 0
     # compact
     store = _open_store(path)
@@ -415,11 +349,6 @@ def _store(args: argparse.Namespace) -> int:
         f"compacted {path}: {before} -> {after} bytes "
         f"({len(store)} verdict(s), {store.report_count} report(s) kept)"
     )
-    for label, shard_before, shard_after in getattr(result, "shards", []):
-        print(
-            f"  {label}: {shard_before} -> {shard_after} bytes "
-            f"({shard_before - shard_after} reclaimed)"
-        )
     return 0
 
 
@@ -452,7 +381,7 @@ def _analyze(args: argparse.Namespace) -> int:
         print(f"repro-deps: {args.file}:", file=sys.stderr)
         print(exc.diagnostic(), file=sys.stderr)
         return EXIT_SYNTAX_ERROR
-    store = checkpoint = None
+    store = None
     if args.store is not None:
         if args.no_cache:
             print(
@@ -461,15 +390,9 @@ def _analyze(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_STORE_ERROR
-        store = _open_store(args.store, args.store_shards)
+        store = _open_store(args.store)
         if store is None:
             return EXIT_STORE_ERROR
-        checkpoint = _attach_checkpoint(
-            store,
-            run_token("analyze", source),
-            f"analyze:{args.file.name}",
-            args.resume,
-        )
     symbols = default_symbols()
     engine = DependenceEngine(
         symbols=symbols,
@@ -477,7 +400,6 @@ def _analyze(args: argparse.Namespace) -> int:
         profile=args.profile,
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
-        checkpoint=checkpoint,
     )
     recorder = TestRecorder()
     try:
@@ -514,18 +436,12 @@ def _analyze(args: argparse.Namespace) -> int:
                     ):
                         print(suggestion)
                 print()
-                if checkpoint is not None and engine.store is not None:
-                    try:
-                        checkpoint.mark_routine(routine.name)
-                    except Exception as exc:
-                        engine.driver._degrade_store(exc)
-                    else:
-                        engine.driver.drain_store_events()
+                # Per-routine durability barrier: a killed --store run
+                # keeps every routine it printed.
+                engine.driver.flush()
     finally:
         if store is not None:
             store.close()
-            if engine.driver is not None:
-                engine.driver.drain_store_events()
     if args.counts:
         print("test applications:")
         print(recorder)
@@ -548,23 +464,15 @@ def _study(args: argparse.Namespace) -> int:
     if args.table == 2:
         print(render_table2())
         return 0
-    store = checkpoint = None
+    store = None
     if args.store is not None:
-        store = _open_store(args.store, args.store_shards)
+        store = _open_store(args.store)
         if store is None:
             return EXIT_STORE_ERROR
-        suites = sorted(args.suite) if args.suite else ["<all>"]
-        checkpoint = _attach_checkpoint(
-            store,
-            run_token("study", args.table, *suites),
-            f"study:table{args.table or 'all'}",
-            args.resume,
-        )
     engine = DependenceEngine(
         symbols=default_symbols(),
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
-        checkpoint=checkpoint,
     )
     try:
         with engine:
@@ -582,8 +490,6 @@ def _study(args: argparse.Namespace) -> int:
     finally:
         if store is not None:
             store.close()
-            if engine.driver is not None:
-                engine.driver.drain_store_events()
     return 0
 
 
@@ -595,7 +501,6 @@ def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store_path=args.store,
-        store_shards=args.store_shards,
         max_in_flight=args.max_in_flight,
         queue_depth=args.queue_depth,
         default_deadline_ms=args.default_deadline_ms,
@@ -687,7 +592,7 @@ def _corpus_run(args: argparse.Namespace) -> int:
         return 1
     store = None
     if args.store is not None:
-        store = _open_store(args.store, args.store_shards)
+        store = _open_store(args.store)
         if store is None:
             return EXIT_STORE_ERROR
     engine = DependenceEngine(
@@ -720,9 +625,6 @@ def _corpus_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_STRICT_FAULT
-    finally:
-        if store is not None and engine.driver is not None:
-            engine.driver.drain_store_events()
     for line in stats.summary_lines():
         print(line, file=sys.stderr)
     print(engine.stats.provenance_report(), file=sys.stderr)
@@ -732,7 +634,7 @@ def _corpus_run(args: argparse.Namespace) -> int:
         live = engine.store is not None  # None when the run degraded
         if args.compact and live:
             try:
-                result = store.compact()
+                before, after = store.compact()
             except (StoreError, OSError) as exc:
                 print(
                     f"repro-deps: compaction failed for '{args.store}': {exc}",
@@ -741,8 +643,8 @@ def _corpus_run(args: argparse.Namespace) -> int:
                 store.close()
                 return EXIT_STORE_ERROR
             print(
-                f"compacted {args.store}: {result.before} -> "
-                f"{result.after} bytes ({result.reclaimed} reclaimed)",
+                f"compacted {args.store}: {before} -> {after} bytes "
+                f"({before - after} reclaimed)",
                 file=sys.stderr,
             )
         store.close()

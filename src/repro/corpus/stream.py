@@ -3,8 +3,8 @@
 ``repro-deps corpus run <tree>`` walks a directory tree of Fortran
 sources and analyzes each routine exactly once per *content version*.
 The unit of work is the routine, identified by a **routine token** — a
-:func:`repro.engine.checkpoint.run_token` over the report schema, the
-file's content digest, and the routine's position and name.  Finished
+:func:`run_token` over the report schema, the file's content digest,
+and the routine's position and name.  Finished
 routines persist their rendered report in the verdict store as a
 report document (kind ``"d"``), and a clean file persists a **file
 token** record listing its routine tokens, so:
@@ -96,7 +96,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from repro.dirvec.vectors import format_vector
 from repro.engine import faultinject
-from repro.engine.checkpoint import run_token
 from repro.engine.engine import DependenceEngine
 from repro.engine.faults import EngineFaultError, FailureRecord, describe_error
 from repro.engine.profile import PhaseProfile
@@ -142,6 +141,27 @@ def walk_tree(root: Path) -> List[PurePosixPath]:
         if path.is_file() and path.suffix.lower() in CORPUS_SUFFIXES:
             found.append(PurePosixPath(path.relative_to(root).as_posix()))
     return sorted(found)
+
+
+def run_token(*parts: object) -> str:
+    """A stable hex token identifying one input + option set.
+
+    ``parts`` may be str/bytes/int/bool/None; anything else contributes
+    its ``repr``.  Each part is length-prefixed, so ``("a", "bc")`` and
+    ``("ab", "c")`` differ, and the token survives process restarts (no
+    ids, no addresses) so a killed run and its resume agree.
+    """
+    digest = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, bytes):
+            blob = part
+        elif isinstance(part, str):
+            blob = part.encode("utf-8", "surrogatepass")
+        else:
+            blob = repr(part).encode("utf-8")
+        digest.update(len(blob).to_bytes(8, "little"))
+        digest.update(blob)
+    return digest.hexdigest()[:16]
 
 
 def file_token(data: bytes) -> str:
@@ -530,19 +550,8 @@ class StreamingCorpusRunner:
             return
         try:
             store.put_report(token, value)
-        except Exception as exc:  # ENOSPC, quarantine, injected faults
+        except Exception as exc:  # lock starvation, ENOSPC, injected faults
             self.engine.driver._degrade_store(exc)
-        self.engine.driver.drain_store_events()
-
-    def _checkpoint(self) -> None:
-        store = self._store()
-        if store is None:
-            return
-        try:
-            store.checkpoint()
-        except Exception as exc:
-            self.engine.driver._degrade_store(exc)
-        self.engine.driver.drain_store_events()
 
     def _write_records(self, records: Sequence[Tuple]) -> None:
         """Write a worker's fresh verdicts through this process's store,
@@ -613,7 +622,7 @@ class StreamingCorpusRunner:
                 faultinject.on_corpus_file(rel.as_posix())
                 self.out.write(f"== file {rel.as_posix()} ==\n")
                 self._run_file(rel)
-                self._checkpoint()
+                self.engine.driver.flush()
                 self._check_pressure(rel)
         finally:
             self._stop_pool()

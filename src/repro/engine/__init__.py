@@ -22,15 +22,13 @@ dependence testing an ideal memoization target.  This package exploits it:
 * :mod:`repro.engine.faultinject` — the deterministic fault-injection
   harness behind the ``REPRO_FAULTS`` environment hook (test-only);
 * :mod:`repro.engine.store` — :class:`VerdictStore`, a crash-safe
-  sharded on-disk verdict store (a manifest plus key-prefix shard
-  segments of CRC-checked length-prefixed records; per-batch shard
-  locks, so any number of concurrent processes share one store; corrupt
-  tails truncated on open, failing shards quarantined) serving as a
-  persistent second cache tier;
-* :mod:`repro.engine.checkpoint` — :class:`CheckpointLog` and
-  :func:`run_token`: durable completed-routine markers over the store,
-  so ``repro-deps ... --store s.db --resume`` continues a killed run
-  from its last fsync'd checkpoint;
+  on-disk verdict store (a directory holding one append-only segment of
+  CRC-checked length-prefixed records; a per-batch lock, so any number
+  of concurrent processes share one store; corrupt tails truncated on
+  open) serving as a persistent second cache tier.  A store that fails
+  is detached and the run continues memory-only, so a killed
+  ``--store`` run's successor replays every verdict its last checkpoint
+  made durable;
 * :mod:`repro.engine.engine` — the :class:`DependenceEngine` facade the
   CLI, the study harness, and the benchmarks drive.
 
@@ -49,7 +47,6 @@ from repro.engine.canonical import (
     rename_map,
 )
 from repro.engine.cache import CachedDriver
-from repro.engine.checkpoint import CheckpointLog, run_token
 from repro.engine.engine import DependenceEngine
 from repro.engine.faults import (
     BudgetExceededError,
@@ -64,8 +61,6 @@ from repro.engine.faults import (
 from repro.engine.profile import PhaseProfile
 from repro.engine.stats import EngineStats
 from repro.engine.store import (
-    DEFAULT_SHARDS,
-    CompactionResult,
     StoreError,
     StoreLockError,
     StoreReport,
@@ -76,7 +71,6 @@ __all__ = [
     "BudgetExceededError",
     "CacheEntry",
     "CachedDriver",
-    "CheckpointLog",
     "Deadline",
     "DeadlineExceededError",
     "DependenceEngine",
@@ -87,8 +81,6 @@ __all__ = [
     "PairTestError",
     "PhaseProfile",
     "StepBudget",
-    "DEFAULT_SHARDS",
-    "CompactionResult",
     "StoreError",
     "StoreLockError",
     "StoreReport",
@@ -97,5 +89,4 @@ __all__ = [
     "canonicalize_result",
     "rehydrate_result",
     "rename_map",
-    "run_token",
 ]

@@ -17,10 +17,11 @@ An optional second tier sits below the LRU: a crash-safe persistent
 then the store (promoting hits into the LRU); fresh verdicts are written
 through, so a killed run's successor reopens the store and serves every
 previously tested shape without re-testing.  Assumed
-(degraded) verdicts never reach the store — PR 3's contamination
-guarantee extends across process boundaries.  A store *write* failure
-mid-run degrades the driver back to memory-only operation with a
-``store`` failure record rather than aborting analysis.
+(degraded) verdicts never reach the store — the contamination guarantee
+extends across process boundaries.  A store failure mid-run (a write or
+a checkpoint that raises) detaches the store: the driver continues
+memory-only with one ``store`` failure record rather than aborting
+analysis.
 """
 
 from __future__ import annotations
@@ -132,13 +133,11 @@ class CachedDriver:
             return entry
         if self.persist is not None:
             entry = self.persist.get(key)
-            if self.persist.events:
-                self.drain_store_events()
             if entry is not None:
                 self.stats.store_hits += 1
                 if self.persist.foreign(key):
-                    # Folded from a shard tail after open: written by a
-                    # concurrently running process, not a prior run.
+                    # Folded from the segment's tail after open: written
+                    # by a concurrently running process, not a prior run.
                     self.stats.store_foreign_hits += 1
                 self.store(key, entry)
                 return entry
@@ -148,12 +147,11 @@ class CachedDriver:
     # -- the persistent tier ---------------------------------------------
 
     def _degrade_store(self, exc: Exception) -> None:
-        """Drop to memory-only operation after a whole-store failure.
+        """Detach the store after it failed and continue memory-only.
 
-        Since the sharded store quarantines shard-scoped failures itself
-        (surfaced via :meth:`drain_store_events`), this path is reserved
-        for failures of the store as a whole — a closed handle, an
-        unwritable directory — where no tier remains to write to.
+        Lock starvation, an unwritable segment, ``ENOSPC`` and a rejected
+        write all land here, as exactly one ``"store"`` failure record:
+        never a traceback, never an assumed verdict.
         """
         store, self.persist = self.persist, None
         self.stats.record_failure(
@@ -164,20 +162,6 @@ class CachedDriver:
             )
         )
 
-    def drain_store_events(self) -> None:
-        """Surface shard-quarantine events as ``"store"`` failure records.
-
-        The store absorbs shard-scoped failures (lock starvation, corrupt
-        segment, ENOSPC) by quarantining the shard and queuing an event;
-        the affected keys silently run memory-only.  Draining here turns
-        each event into exactly one failure record for the fault report
-        — never a traceback, never an assumed verdict.
-        """
-        if self.persist is None:
-            return
-        for where, message in self.persist.drain_events():
-            self.stats.record_failure(FailureRecord("store", where, message))
-
     def _persist_entry(self, key: CanonicalKey, entry: CacheEntry) -> None:
         if self.persist is None or entry.assumed:
             return
@@ -186,9 +170,6 @@ class CachedDriver:
             self.stats.store_writes += 1
         except Exception as exc:
             self._degrade_store(exc)
-        else:
-            if self.persist.events:
-                self.drain_store_events()
 
     def store(self, key: CanonicalKey, entry: CacheEntry) -> None:
         """Insert an entry, evicting the least recently used past capacity."""
@@ -216,21 +197,23 @@ class CachedDriver:
         _PAIR_MEMO.clear()
         return shed
 
-    def close(self) -> None:
-        """Flush the persistent tier and surface every remaining event.
+    def flush(self) -> None:
+        """Make every verdict written so far durable (a store checkpoint).
 
-        The final checkpoint can itself quarantine a shard (lock
-        starvation, ENOSPC on the last flush); those events are appended
-        *after* any earlier drain, so without this last drain they would
-        vanish from the fault report.  Safe to call repeatedly; the store
-        object itself stays open (its owner closes it).
+        A checkpoint that fails detaches the store (see
+        :meth:`_degrade_store`), so callers need no error handling of
+        their own; without a store this does nothing.
         """
         if self.persist is not None:
             try:
                 self.persist.checkpoint()
             except Exception as exc:
                 self._degrade_store(exc)
-        self.drain_store_events()
+
+    def close(self) -> None:
+        """Flush the persistent tier.  Safe to call repeatedly; the
+        store object itself stays open (its owner closes it)."""
+        self.flush()
 
     def _make_budget(self) -> Optional[StepBudget]:
         """A fresh per-pair budget carrying the current request deadline.

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions
 from repro.engine.cache import DEFAULT_CAPACITY, CachedDriver
-from repro.engine.checkpoint import CheckpointLog
 from repro.engine.faults import DEFAULT_POLICY, Deadline, FaultPolicy
 from repro.engine.store import VerdictStore
 from repro.engine.profile import PhaseProfile
@@ -42,14 +41,11 @@ class DependenceEngine:
         profile: bool = False,
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
-        checkpoint: Optional[CheckpointLog] = None,
     ):
         self.symbols = symbols
         self.use_cache = use_cache
-        #: Optional resume protocol (routine markers over ``store``).
-        #: The engine *uses* the store and log but does not own them — the
-        #: caller that opened the store closes it (``close`` only flushes).
-        self.checkpoint = checkpoint
+        # The engine *uses* the store but does not own it: the caller
+        # that opened the store closes it (``close`` only flushes).
         stats = EngineStats(profile=PhaseProfile()) if profile else None
         self.driver = CachedDriver(
             symbols=symbols,
@@ -86,8 +82,8 @@ class DependenceEngine:
 
     def settings(self) -> dict:
         """Constructor arguments that rebuild this engine's analysis in
-        another process: everything but the store and checkpoint log,
-        which stay with their owner (``corpus run`` pool workers)."""
+        another process: everything but the store, which stays with its
+        owner (``corpus run`` pool workers)."""
         driver = self.driver
         return {
             "symbols": self.symbols,
@@ -101,9 +97,9 @@ class DependenceEngine:
     def close(self) -> None:
         """Flush the store (not closing it).
 
-        The final flush can itself fail or quarantine shards; the driver
-        surfaces those as ``"store"`` failure records (see
-        :meth:`CachedDriver.close`) instead of silently dropping them.
+        A failing final flush detaches the store with a ``"store"``
+        failure record (see :meth:`CachedDriver.flush`) instead of
+        raising.
         """
         self.driver.close()
 

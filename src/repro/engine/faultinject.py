@@ -13,18 +13,16 @@ engine's seams:
   concurrent-writer interleavings become reproducible;
 * ``routine-error:<name>`` — analyzing routine ``<name>`` raises
   (simulates a routine the pipeline cannot digest);
-* ``store-die:<n>[:<shard>]`` — the process dies with ``os._exit``
-  immediately after the ``n``-th record appended to a persistent verdict
-  store (simulates a SIGKILL landing mid-write at a deterministic point;
-  the kill-and-resume tests and CI job are built on it).  With a shard
-  argument (a shard id or ``meta``) only appends landing in that shard
-  count, so a kill can be aimed at one segment of a sharded store;
-* ``lock-hold:<seconds>[:<shard>]`` — every shard-lock acquisition (or
-  only ``<shard>``'s) sleeps while *holding* the lock, forcing the
-  contention window open so backoff/starvation paths actually run;
-* ``corrupt-shard:<shard>`` — the first time this process opens that
-  shard's segment, garbage bytes are appended to it (a synthetic torn
-  tail), exercising per-shard recovery and quarantine in situ;
+* ``store-die:<n>`` — the process dies with ``os._exit`` immediately
+  after the ``n``-th record appended to a persistent verdict store
+  (simulates a SIGKILL landing mid-write at a deterministic point; the
+  kill-and-resume tests and CI job are built on it);
+* ``lock-hold:<seconds>`` — every store-lock acquisition sleeps while
+  *holding* the lock, forcing the contention window open so
+  backoff/starvation paths actually run;
+* ``corrupt-store`` — the first time this process opens a store's
+  segment, garbage bytes are appended to it (a synthetic torn tail),
+  exercising open-time recovery in situ;
 * ``slow-handler:<seconds>[:<n>]`` — the analysis service's request
   handler sleeps before analyzing (all requests, or only the first
   ``<n>``), holding its in-flight slot so deadline, backpressure, and
@@ -39,10 +37,9 @@ engine's seams:
 * ``die-file:<n>`` — the corpus streaming driver dies with ``os._exit``
   as it enters its ``<n>``-th file (a SIGKILL at a file boundary; the
   corpus kill-and-resume gate is built on it);
-* ``die-compact:<n>`` — the process dies right before the ``<n>``-th
-  shard rewrite of a store compaction commits (mid-compaction crash:
-  already-swapped shards are new, the dying shard's old segment must
-  survive intact);
+* ``die-compact:<n>`` — the process dies right before its ``<n>``-th
+  store compaction commits the rewritten segment (a mid-compaction
+  crash: the old segment must survive intact);
 * ``fake-rss:<mb>`` — the corpus driver's RSS watermark probe reports
   this value instead of reading ``/proc``, making memory-backpressure
   throttling deterministic.
@@ -63,7 +60,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Union
+from typing import Dict, FrozenSet, Optional, Set
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -73,17 +70,9 @@ ENV_VAR = "REPRO_FAULTS"
 #: fired rather than the run merely finishing with a suggestive code.
 MARKER_ENV_VAR = "REPRO_FAULT_MARKER"
 
-#: A shard selector in a directive: a shard id, ``"meta"``, or None for
-#: "any shard".
-ShardSel = Optional[Union[int, str]]
-
 
 class InjectedFaultError(RuntimeError):
     """The deterministic failure raised by ``pair-error``/``routine-error``."""
-
-
-def _parse_shard(arg: str) -> ShardSel:
-    return int(arg) if arg.lstrip("-").isdigit() else arg.lower()
 
 
 @dataclass(frozen=True)
@@ -94,10 +83,8 @@ class FaultPlan:
     pair_delay: Optional[float] = None
     routines: FrozenSet[str] = frozenset()
     store_die: Optional[int] = None
-    store_die_shard: ShardSel = None
     lock_hold: Optional[float] = None
-    lock_hold_shard: ShardSel = None
-    corrupt_shards: FrozenSet[Union[int, str]] = frozenset()
+    corrupt_store: bool = False
     slow_handler: Optional[float] = None
     slow_handler_count: Optional[int] = None
     reject_store: Optional[int] = None
@@ -114,7 +101,7 @@ class FaultPlan:
             or self.routines
             or self.store_die is not None
             or self.lock_hold is not None
-            or self.corrupt_shards
+            or self.corrupt_store
             or self.slow_handler is not None
             or self.reject_store is not None
             or self.kill_request is not None
@@ -130,10 +117,8 @@ def parse_spec(spec: str) -> FaultPlan:
     pair_delay: Optional[float] = None
     routines = set()
     store_die: Optional[int] = None
-    store_die_shard: ShardSel = None
     lock_hold: Optional[float] = None
-    lock_hold_shard: ShardSel = None
-    corrupt: Set[Union[int, str]] = set()
+    corrupt_store = False
     slow_handler: Optional[float] = None
     slow_handler_count: Optional[int] = None
     reject_store: Optional[int] = None
@@ -156,14 +141,10 @@ def parse_spec(spec: str) -> FaultPlan:
                 routines.add(args[0].lower())
             elif name == "store-die" and args:
                 store_die = int(args[0])
-                if len(args) > 1:
-                    store_die_shard = _parse_shard(args[1])
             elif name == "lock-hold" and args:
                 lock_hold = float(args[0])
-                if len(args) > 1:
-                    lock_hold_shard = _parse_shard(args[1])
-            elif name == "corrupt-shard" and args:
-                corrupt.add(_parse_shard(args[0]))
+            elif name == "corrupt-store":
+                corrupt_store = True
             elif name == "slow-handler" and args:
                 slow_handler = float(args[0])
                 if len(args) > 1:
@@ -185,10 +166,8 @@ def parse_spec(spec: str) -> FaultPlan:
         pair_delay=pair_delay,
         routines=frozenset(routines),
         store_die=store_die,
-        store_die_shard=store_die_shard,
         lock_hold=lock_hold,
-        lock_hold_shard=lock_hold_shard,
-        corrupt_shards=frozenset(corrupt),
+        corrupt_store=corrupt_store,
         slow_handler=slow_handler,
         slow_handler_count=slow_handler_count,
         reject_store=reject_store,
@@ -235,14 +214,6 @@ def on_routine(name: str) -> None:
         raise InjectedFaultError(f"injected fault analyzing routine '{name}'")
 
 
-def _shard_matches(selector: ShardSel, shard: ShardSel) -> bool:
-    if selector is None:
-        return True
-    if isinstance(selector, str):
-        return isinstance(shard, str) and shard.lower() == selector
-    return shard == selector
-
-
 def _drop_marker() -> None:
     """Create the :data:`MARKER_ENV_VAR` file, if one is configured.
 
@@ -266,21 +237,17 @@ def _drop_marker() -> None:
 _STORE_APPENDS = 0
 
 
-def on_store_append(shard: ShardSel = None) -> None:
+def on_store_append() -> None:
     """Per-record hook, called after each verdict-store append.
 
     ``store-die:<n>`` kills the process *uncleanly* (no flush, no atexit,
     no lock release beyond what the OS reclaims) right after the n-th
     append, leaving whatever the page cache happened to hold — the same
-    torn-tail state a SIGKILL or power loss produces.  ``shard`` is the
-    segment the record landed in (an id or ``"meta"``); a shard-scoped
-    directive only counts matching appends.
+    torn-tail state a SIGKILL or power loss produces.
     """
     global _STORE_APPENDS
     plan = active_plan()
     if plan is None or plan.store_die is None:
-        return
-    if not _shard_matches(plan.store_die_shard, shard):
         return
     _STORE_APPENDS += 1
     if _STORE_APPENDS >= plan.store_die:
@@ -340,17 +307,15 @@ def on_request() -> None:
             time.sleep(plan.slow_handler)
 
 
-def on_lock_held(shard: ShardSel = None) -> None:
-    """Called immediately after a shard lock is acquired (still held).
+def on_lock_held() -> None:
+    """Called immediately after the store lock is acquired (still held).
 
-    ``lock-hold:<seconds>[:<shard>]`` widens every critical section so
-    concurrent writers actually collide, making backoff and starvation
-    paths deterministic enough to test.
+    ``lock-hold:<seconds>`` widens every critical section so concurrent
+    writers actually collide, making backoff and starvation paths
+    deterministic enough to test.
     """
     plan = active_plan()
-    if plan is None or plan.lock_hold is None:
-        return
-    if _shard_matches(plan.lock_hold_shard, shard):
+    if plan is not None and plan.lock_hold is not None:
         time.sleep(plan.lock_hold)
 
 
@@ -359,17 +324,15 @@ def on_lock_held(shard: ShardSel = None) -> None:
 _CORRUPTED: Set[str] = set()
 
 
-def on_segment_open(path: os.PathLike, shard: ShardSel = None) -> None:
-    """Called before a store opens/recovers a segment file.
+def on_segment_open(path: os.PathLike) -> None:
+    """Called before a store opens/recovers its segment file.
 
-    ``corrupt-shard:<shard>`` appends garbage to the matching segment
-    the first time this process opens it — a synthetic torn tail that
-    must be repaired (under lock) or quarantined, never propagated.
+    ``corrupt-store`` appends garbage to the segment the first time this
+    process opens it — a synthetic torn tail that open-time recovery
+    must repair under the lock, never propagate.
     """
     plan = active_plan()
-    if plan is None or not plan.corrupt_shards:
-        return
-    if not any(_shard_matches(sel, shard) for sel in plan.corrupt_shards):
+    if plan is None or not plan.corrupt_store:
         return
     key = str(path)
     if key in _CORRUPTED:
@@ -405,24 +368,23 @@ def on_corpus_file(path: os.PathLike) -> None:
         os._exit(9)
 
 
-# Shard rewrites this process's compactions have attempted (die-compact).
-_COMPACT_SHARDS = 0
+# Compactions this process has attempted (die-compact counter).
+_COMPACTIONS = 0
 
 
-def on_compact(shard: ShardSel = None) -> None:
-    """Called right before a compaction commits one shard's rewrite.
+def on_compact() -> None:
+    """Called right before a compaction commits its rewritten segment.
 
     ``die-compact:<n>`` kills the process (marker dropped first) before
-    the ``n``-th shard swap: shards compacted earlier hold their new
-    segments, the dying shard must still hold its old one — the
-    staging + atomic-rename crash-safety contract, made testable.
+    the ``n``-th commit: the store must still hold its old segment — the
+    temp file + atomic-rename crash-safety contract, made testable.
     """
-    global _COMPACT_SHARDS
+    global _COMPACTIONS
     plan = active_plan()
     if plan is None or plan.die_compact is None:
         return
-    _COMPACT_SHARDS += 1
-    if _COMPACT_SHARDS >= plan.die_compact:
+    _COMPACTIONS += 1
+    if _COMPACTIONS >= plan.die_compact:
         _drop_marker()
         os._exit(9)
 

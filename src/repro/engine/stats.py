@@ -86,8 +86,8 @@ class EngineStats:
         store = f"{self.store_hits} store hit(s)"
         if self.store_foreign_hits:
             # Served from records a *concurrently running* process landed
-            # in a shard after this store opened (folded from the tail),
-            # as opposed to a prior run's resident records.
+            # in the store after it opened (folded from the tail), as
+            # opposed to a prior run's resident records.
             store += f" ({self.store_foreign_hits} cross-process)"
         return (
             f"verdict provenance: {self.hits} memory hit(s), "

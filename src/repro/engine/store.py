@@ -1,81 +1,74 @@
-"""Crash-safe persistent verdict store — sharded, multi-writer (v2).
+"""Crash-safe persistent verdict store: one append-only segment.
 
 The canonical pair key makes a driver verdict a pure function of
 structure (see :mod:`repro.engine.canonical`), which is exactly what
-makes verdicts safe to persist across processes and runs — and, since
-format v2, safe to share between *concurrent* writers: two processes
-that compute the same canonical key compute the same entry, so record
-interleaving can duplicate work but never corrupt truth.
+makes verdicts safe to persist across processes and runs, and safe to
+share between *concurrent* writers: two processes that compute the same
+canonical key compute the same entry, so record interleaving can
+duplicate work but never corrupt truth.
 
-**Store layout (format v2).**  A store is a *directory*:
-
-* ``manifest`` — 20 bytes: magic ``RVSM``, store format version, shard
-  count, a 32-bit hash salt, and a CRC over the preceding fields.
-  Created atomically (temp file + rename) and validated on every open;
-  a corrupt manifest rebuilds the store empty (verdicts are derived
-  data — a rebuild can never lose truth).
-* ``shard-NNN.seg`` — N key-prefix shards.  A verdict or report record
-  lands in shard ``crc32(pickle(key), salt) % N``; each shard is an
-  independent RVS1-style append-only segment with its own ``.lock``
-  sidecar.
-* ``meta.seg`` — a dedicated shard for run and routine markers,
-  flushed strictly *after* the data shards so a durable marker never
-  claims verdicts a crash could have lost.
-
-Each segment file is an 8-byte header (magic ``RVS1`` + little-endian
-``u32`` schema version) followed by records of ``[u32 length][u32
-crc32][pickled payload]``.  A segment with another schema version opens
-rebuilt empty.  Any existing path that is not a directory is refused
-with :class:`StoreError` and left untouched: a store is a cache, and
-opening one must never delete a file.
+**Store layout.**  A store is a *directory* holding one segment,
+``store.seg``, and while a process writes, its ``store.seg.lock``
+sidecar.  The segment is an 8-byte header (magic ``RVS1`` +
+little-endian ``u32`` schema version) followed by records of ``[u32
+length][u32 crc32][pickled payload]``.  A segment with another schema
+version opens rebuilt empty.  Opening a path that is neither absent, an
+empty directory, nor a directory holding the segment raises
+:class:`StoreError` and leaves the path untouched: a store is a cache,
+and opening one must never adopt, delete or rewrite someone else's
+files.
 
 **Multi-writer protocol.**  No lock is held for the process lifetime.
-Appends are buffered in memory per shard; a :meth:`checkpoint` (or the
-automatic one every :data:`CHECKPOINT_INTERVAL` buffered records) takes
-each dirty shard's sidecar lock *per append batch*:
+Appends are buffered in memory; a :meth:`~VerdictStore.checkpoint` (or
+the automatic one every :data:`CHECKPOINT_INTERVAL` buffered records)
+takes the sidecar lock *per append batch*:
 
-1. acquire the shard lock with capped exponential backoff + jitter;
-2. re-scan the shard's appended tail, folding records a concurrent
-   writer landed since our last look (these become visible to reads and
-   count as *cross-process* provenance);
+1. acquire the lock with capped exponential backoff + jitter;
+2. read the segment's tail past the last parsed offset, folding
+   records a concurrent writer landed since our last look (these
+   become visible to reads and count as *cross-process* provenance);
 3. drop buffered records another writer already persisted, append the
    rest, ``flush`` + ``fsync``, release.
 
-Readers never lock: a lookup miss polls the key's shard tail (one
-``stat``; new bytes are parsed up to the last fully valid record), so
-verdicts written by a concurrent process become visible mid-run.  A
-torn tail seen without the lock is simply not advanced past — it may be
-an in-flight append — while a torn tail seen *under* the lock belongs
-to a crashed writer and is truncated.
+Readers never lock: a lookup miss polls the segment (one ``stat``; new
+bytes are read from the last parsed offset and parsed up to the last
+fully valid record), so verdicts written by a concurrent process become
+visible mid-run.  Only a segment whose inode changed (a compaction
+replaced it) or that shrank is re-read from its header.  A torn tail
+seen without the lock is simply not advanced past (it may be an
+in-flight append), while a torn tail seen *under* the lock belongs to a
+crashed writer and is truncated.
 
-**Conservative degradation.**  Any shard-scoped failure — lock
-starvation, a corrupt segment, ``ENOSPC`` — quarantines *that shard
-only*: its buffered records are dropped, further I/O on it is skipped,
-and the run continues memory-only for those keys.  The failure is
-queued in :attr:`VerdictStore.events` for the engine to surface as a
-``"store"`` :class:`~repro.engine.faults.FailureRecord`; it is never a
-traceback and never an assumed independence.
+**Failures.**  A lock that stays held through the retry schedule or an
+I/O error (``ENOSPC``, an unwritable segment) leaves the store *failed*
+(:attr:`VerdictStore.failure`): its buffered records are dropped and
+every later write or checkpoint raises :class:`StoreError`.  The
+caching driver answers the first such error by detaching the store with
+one ``"store"`` :class:`~repro.engine.faults.FailureRecord` and running
+memory-only; the analysis service's store breaker then probes a fresh
+open.  A failure is never a traceback and never an assumed
+independence.
 
 Assumed (degraded) verdicts are never written: persistence must not
-extend PR 3's contamination guarantee across runs — a faulted pair gets
-a fresh test next process, not a stale assumption.
+extend the contamination guarantee across runs; a faulted pair gets a
+fresh test next process, not a stale assumption.
 
 **Report documents and compaction groups.**  Two record kinds beyond
-verdicts and markers serve the corpus streaming driver
+verdicts (``v``) serve the corpus streaming driver
 (:mod:`repro.corpus.stream`):
 
-* ``d`` — a *report document*: an opaque payload keyed by a content
-  token (see :func:`~repro.engine.checkpoint.run_token`).  The corpus
+* ``d`` is a *report document*: an opaque payload keyed by a content
+  token (see :func:`~repro.corpus.stream.run_token`).  The corpus
   driver stores each routine's rendered report under its content hash;
   the record's presence is the routine-completion marker and its
   payload replays the output byte-identically.  Like verdicts, reports
   for degraded (assumed) analyses are never persisted.
-* ``g`` — a *compaction group*: several near-identical record payloads
-  delta-compressed against a shared base (the groupcompress idiom) and
-  deflated as one frame.  :meth:`VerdictStore.compact` groups report
-  payloads this way; :func:`_parse_records` expands groups
-  transparently, so folds, polls, scans, and verifies all see the
-  member records as if they were written plain.
+* ``g`` is a *compaction group*: several near-identical record
+  payloads delta-compressed against a shared base (the groupcompress
+  idiom) and deflated as one frame.  :meth:`VerdictStore.compact`
+  groups report payloads this way; :func:`_parse_records` expands
+  groups transparently, so folds, polls, scans, and verifies all see
+  the member records as if they were written plain.
 """
 
 from __future__ import annotations
@@ -104,39 +97,21 @@ except ImportError:  # pragma: no cover - non-POSIX
 #: Segment magic: "Repro Verdict Store", record-format generation 1.
 MAGIC = b"RVS1"
 
-#: Manifest magic: "Repro Verdict Store Manifest".
-MANIFEST_MAGIC = b"RVSM"
-
-#: Store *layout* version written into the manifest: the sharded
-#: directory.
-STORE_VERSION = 2
-
 #: Schema version of the pickled payloads.  Bump whenever CacheEntry,
 #: the record kinds, or the canonical-key layout changes shape; an
 #: on-disk mismatch rebuilds the segment instead of deserializing stale
-#: data.  Version 2 dropped the plan and chunk-marker records.
-SCHEMA_VERSION = 2
+#: data.  Version 3 is the one-segment store without run markers.
+SCHEMA_VERSION = 3
 
-#: Default key-prefix shard count for newly created stores.  The
-#: manifest is authoritative afterwards — reopening with a different
-#: ``shards=`` argument keeps the on-disk count.
-DEFAULT_SHARDS = 8
-
-#: Sanity bound on the manifest shard count (a corrupt count must not
-#: make open() try to create millions of files).
-MAX_SHARDS = 1024
-
-#: Name of the marker shard (run and routine markers).
-META_SHARD = "meta"
+#: The segment's file name inside a store directory.
+SEGMENT = "store.seg"
 
 _HEADER = struct.Struct("<4sI")
 _FRAME = struct.Struct("<II")
-#: magic, store version, shard count, salt — followed by a u32 CRC.
-_MANIFEST = struct.Struct("<4sIII")
 
 #: Buffered records between automatic fsync'd checkpoints.  Records lost
-#: in a crash are bounded by this window (minus explicit run/routine
-#: checkpoints, which flush eagerly).
+#: in a crash are bounded by this window (minus explicit checkpoints,
+#: which flush eagerly).
 CHECKPOINT_INTERVAL = 64
 
 #: A single record larger than this is treated as framing corruption:
@@ -145,14 +120,11 @@ MAX_RECORD_SIZE = 64 * 1024 * 1024
 
 #: Lock-acquisition schedule: attempts, base delay, and delay cap
 #: (seconds).  Backoff doubles per attempt and each sleep is jittered by
-#: a factor in [0.5, 1.5) so N workers contending on one shard don't
+#: a factor in [0.5, 1.5) so N writers contending on one store don't
 #: retry in lockstep.
 LOCK_RETRIES = 8
 LOCK_BACKOFF = 0.01
 LOCK_BACKOFF_CAP = 0.5
-
-#: Shard-id memo bound (cleared wholesale past this).
-_SHARD_MEMO_LIMIT = 1 << 16
 
 #: Members per compaction group.  Bounds the decode cost of one frame
 #: (a torn group loses at most this many records) while still letting
@@ -168,7 +140,7 @@ class StoreError(Exception):
 
 
 class StoreLockError(StoreError):
-    """A shard lock stayed contended through the whole retry schedule."""
+    """The store lock stayed contended through the whole retry schedule."""
 
 
 #: Recovery-rule names used in :attr:`StoreReport.rule_drops`.
@@ -183,27 +155,21 @@ RECOVERY_RULES = (
 
 @dataclass
 class StoreReport:
-    """What a scan of a store (or one segment) found.
+    """What a scan of a store's segment found.
 
-    For a v2 store the top-level report aggregates every segment and
-    ``shards`` holds one sub-report per segment (data shards first, meta
-    last).  ``problems`` holds one human-readable line per defect;
-    ``truncated_at`` is the byte offset a repairing open would cut a
+    ``problems`` holds one human-readable line per defect;
+    ``truncated_at`` is the byte offset a repairing open would cut the
     segment back to (None when the tail is clean); ``rebuilt`` marks a
-    magic/schema/manifest mismatch (the affected file is discarded on
-    open); ``rule_drops`` counts records each recovery rule discarded;
+    magic/schema mismatch (the segment is discarded on open);
+    ``rule_drops`` counts records each recovery rule discarded;
     ``dead_bytes`` counts bytes compaction would reclaim (superseded
     duplicates, dropped records, torn tails).
     """
 
     path: Path
-    label: str = "store"
     size: int = 0
     version: Optional[int] = None
-    shard_count: int = 0
-    salt: Optional[int] = None
     verdicts: int = 0
-    runs: int = 0
     reports: int = 0
     records: int = 0
     dropped: int = 0
@@ -213,36 +179,20 @@ class StoreReport:
     rebuilt: bool = False
     problems: List[str] = field(default_factory=list)
     rule_drops: Dict[str, int] = field(default_factory=dict)
-    shards: List["StoreReport"] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True when every byte of every segment parsed as a valid record."""
+        """True when every byte of the segment parsed as a valid record."""
         return not self.problems
 
     def drop_record(self, rule: str, nbytes: int = 0) -> None:
         self.rule_drops[rule] = self.rule_drops.get(rule, 0) + 1
         self.dead_bytes += nbytes
 
-    def fold(self, sub: "StoreReport") -> None:
-        """Aggregate one segment sub-report into this store-level report."""
-        self.shards.append(sub)
-        self.size += sub.size
-        self.verdicts += sub.verdicts
-        self.runs += sub.runs
-        self.reports += sub.reports
-        self.records += sub.records
-        self.dropped += sub.dropped
-        self.dead_bytes += sub.dead_bytes
-        for rule, count in sub.rule_drops.items():
-            self.rule_drops[rule] = self.rule_drops.get(rule, 0) + count
-        for problem in sub.problems:
-            self.problems.append(f"{sub.label}: {problem}")
-
     def counts_line(self) -> str:
         return (
-            f"  {self.verdicts} verdict(s), {self.reports} report(s), "
-            f"{self.runs} run marker(s) in {self.records} record(s)"
+            f"  {self.verdicts} verdict(s), {self.reports} report(s) "
+            f"in {self.records} record(s)"
         )
 
     def compaction_line(self) -> str:
@@ -262,72 +212,22 @@ class StoreReport:
         ]
         return "  recovery drops: " + ", ".join(parts)
 
-    def lines(self, per_shard: bool = True) -> List[str]:
-        """Line-item report (header, counts, shard breakdown, problems)."""
-        if self.shards:
-            data_shards = max(self.shard_count, 0)
-            out = [
-                f"store {self.path}: v{STORE_VERSION} directory, "
-                f"{data_shards} shard(s) + meta, {self.size} bytes",
-                self.counts_line(),
-            ]
-            if per_shard:
-                for sub in self.shards:
-                    when = (
-                        time.strftime(
-                            "%Y-%m-%d %H:%M:%S", time.localtime(sub.mtime)
-                        )
-                        if sub.mtime is not None
-                        else "never"
-                    )
-                    out.append(
-                        f"  {sub.label}: {sub.records} record(s) "
-                        f"({sub.verdicts} verdicts, {sub.reports} reports, "
-                        f"{sub.runs} markers), "
-                        f"{sub.dead_bytes} dead byte(s), "
-                        f"last checkpoint {when}"
-                    )
-        else:
-            out = [f"store {self.path}: {self.size} bytes", self.counts_line()]
+    def lines(self) -> List[str]:
+        """Line-item report (header, counts, problems)."""
+        when = (
+            time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.mtime))
+            if self.mtime is not None
+            else "never"
+        )
+        out = [
+            f"store {self.path}: {self.size} bytes, last checkpoint {when}",
+            self.counts_line(),
+        ]
         for problem in self.problems:
             out.append(f"  PROBLEM: {problem}")
         if self.clean:
             out.append("  clean: no corruption found")
         return out
-
-
-class CompactionResult(tuple):
-    """Outcome of :meth:`VerdictStore.compact`.
-
-    Subclasses ``tuple`` so it unpacks as the historical ``(before,
-    after)`` byte totals; ``shards`` carries the per-segment breakdown
-    as ``(label, before_bytes, after_bytes)`` triples for the CLI's
-    reclaimed-bytes report (quarantined/skipped segments are absent).
-    """
-
-    shards: List[Tuple[str, int, int]]
-
-    def __new__(
-        cls,
-        before: int,
-        after: int,
-        shards: Optional[List[Tuple[str, int, int]]] = None,
-    ) -> "CompactionResult":
-        self = super().__new__(cls, (before, after))
-        self.shards = list(shards or [])
-        return self
-
-    @property
-    def before(self) -> int:
-        return self[0]
-
-    @property
-    def after(self) -> int:
-        return self[1]
-
-    @property
-    def reclaimed(self) -> int:
-        return self[0] - self[1]
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +243,14 @@ def _encode_record(payload: bytes) -> bytes:
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def _atomic_create(path: Path, body: bytes = b"", header: bool = True) -> None:
-    """Write header (+ optional body) to a temp file, fsync, rename over."""
+def _atomic_create(path: Path, body: bytes = b"") -> None:
+    """Write header + body to a temp file, fsync, rename over ``path``."""
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=str(path.parent)
     )
     try:
         with os.fdopen(fd, "wb") as tmp:
-            if header:
-                _write_header(tmp)
+            _write_header(tmp)
             if body:
                 tmp.write(body)
             tmp.flush()
@@ -409,25 +308,14 @@ def _fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
-#: Identity of one record for on-disk dedup: ``("v", key)`` or ``("d",
-#: token)``.  Routine markers (``r`` records labelled
-#: ``routine:<name>``) dedup by value — a corpus re-run marking the same
-#: routines must not grow the meta shard unboundedly.  Plain run markers
-#: have no identity (None): every ``begin_run`` appends.
-RecordId = Optional[Tuple]
-
-
-def _record_identity(record: Tuple) -> RecordId:
-    kind = record[0]
-    if kind in ("v", "d"):
-        return (kind, record[1])
-    if (
-        kind == "r"
-        and isinstance(record[2], str)
-        and record[2].startswith("routine:")
-    ):
-        return ("r", record[1], record[2])
-    return None
+def _is_store_dir(path: Path) -> bool:
+    """True for a directory a store may open: empty, holding the segment,
+    or holding only the segment's own lock and temp files (a concurrent
+    creator's, for the moment before its segment is linked in)."""
+    names = os.listdir(path)
+    return SEGMENT in names or all(
+        name.startswith(SEGMENT + ".") for name in names
+    )
 
 
 # -- compaction groups (groupcompress idiom) --------------------------------
@@ -577,8 +465,6 @@ def _count_record(record: Tuple, report: StoreReport, offset: int) -> bool:
     kind = record[0]
     if kind == "v":
         report.verdicts += 1
-    elif kind == "r":
-        report.runs += 1
     elif kind == "d":
         report.reports += 1
     else:
@@ -586,19 +472,17 @@ def _count_record(record: Tuple, report: StoreReport, offset: int) -> bool:
     return True
 
 
-def _scan_segment_file(path: Path, label: str) -> Tuple[StoreReport, List[Tuple]]:
-    """Parse one segment file without repairing it: (report, records).
+def _scan_segment(store_dir: Path) -> Tuple[StoreReport, List[Tuple]]:
+    """Parse a store's segment without repairing it: (report, records).
 
     Counts superseded duplicates into ``dead_bytes`` so ``store info``
-    can show what compaction would reclaim.
+    can show what compaction would reclaim.  An unreadable segment
+    raises ``OSError``.
     """
-    report = StoreReport(path=path, label=label)
-    try:
-        stat = path.stat()
-        data = path.read_bytes()
-    except OSError as exc:
-        report.problems.append(f"cannot read: {exc.strerror or exc}")
-        return report, []
+    report = StoreReport(path=store_dir)
+    path = store_dir / SEGMENT
+    stat = path.stat()
+    data = path.read_bytes()
     report.size = len(data)
     report.mtime = stat.st_mtime
     if len(data) < _HEADER.size:
@@ -621,20 +505,11 @@ def _scan_segment_file(path: Path, label: str) -> Tuple[StoreReport, List[Tuple]
         return report, []
     records: List[Tuple] = []
     seen: Set[Tuple] = set()
-    runs_seen = 0
 
     def sink(record, start, end):
-        nonlocal runs_seen
-        identity = _record_identity(record)
-        if identity is not None:
-            if identity in seen:
-                report.dead_bytes += end - start
-            seen.add(identity)
-        elif record[0] == "r":
-            # Only the latest run marker survives compaction.
-            if runs_seen:
-                report.dead_bytes += end - start
-            runs_seen += 1
+        if record[:2] in seen:
+            report.dead_bytes += end - start
+        seen.add(record[:2])
         records.append(record)
 
     _parse_records(data, _HEADER.size, report, sink)
@@ -642,7 +517,7 @@ def _scan_segment_file(path: Path, label: str) -> Tuple[StoreReport, List[Tuple]
 
 
 # ---------------------------------------------------------------------------
-# Sidecar locks
+# Sidecar lock
 # ---------------------------------------------------------------------------
 
 
@@ -650,7 +525,7 @@ class _SidecarLock:
     """Advisory exclusive lock on a ``<segment>.lock`` sidecar file.
 
     ``fcntl.flock`` releases automatically when the holder dies, so a
-    crashed writer never wedges a shard; the PID written into the file
+    crashed writer never wedges the store; the PID written into the file
     only serves diagnostics.  Acquisition retries with capped
     exponential backoff and per-sleep jitter (factor in [0.5, 1.5)) so
     contending writers spread out instead of retrying in lockstep.
@@ -705,7 +580,7 @@ class _SidecarLock:
                 time.sleep(delay * (0.5 + self._rng.random()))
                 delay = min(delay * 2.0, cap)
         raise StoreLockError(
-            f"shard lock {self.path} is held by {holder} "
+            f"store lock {self.path} is held by {holder} "
             f"(gave up after {retries} attempts)"
         )
 
@@ -766,326 +641,194 @@ class _SidecarLock:
 
 
 # ---------------------------------------------------------------------------
-# Segments
-# ---------------------------------------------------------------------------
-
-
-class _Segment:
-    """One append-only segment file of a v2 store (a shard or ``meta``).
-
-    Tracks how far this process has parsed the file (``offset``/``ino``)
-    and which record identities it knows are on disk (``keys``) so
-    batched appends can skip records a concurrent writer already
-    persisted.  ``pending`` holds encoded-but-unflushed records.
-    """
-
-    def __init__(self, path: Path, label: str, shard):
-        self.path = path
-        self.label = label
-        self.shard = shard  # int shard id, or META_SHARD
-        self.lock = _SidecarLock(path.with_name(path.name + ".lock"))
-        self.offset = _HEADER.size
-        self.ino: Optional[int] = None
-        self.quarantined = False
-        self.keys: Set[Tuple] = set()
-        self.pending: List[Tuple[RecordId, bytes]] = []
-
-
-# ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
 
 
 class VerdictStore:
-    """Sharded, crash-safe, multi-writer on-disk verdict store.
+    """Crash-safe, multi-writer on-disk verdict store (one segment).
 
-    Open-or-create the directory at ``path``; any other existing file
-    there raises :class:`StoreError`.  The whole live state loads into
-    memory on open, appends buffer per shard, and :meth:`checkpoint` makes them
-    durable — taking each dirty shard's lock only for the append batch,
-    so any number of processes may write the same store concurrently.
-    Lookup misses poll the key's shard tail, making concurrent writers'
-    verdicts visible mid-run; :meth:`foreign` reports which resident
-    keys arrived from another process.
+    Open-or-create the store directory at ``path``; any other existing
+    file or directory there raises :class:`StoreError`.  The whole live
+    state loads into memory on open, appends buffer in memory, and
+    :meth:`checkpoint` makes them durable, taking the lock only for the
+    append batch, so any number of processes may write the same store
+    concurrently.  Lookup misses poll the segment's tail, making
+    concurrent writers' verdicts visible mid-run; :meth:`foreign`
+    reports which resident keys arrived from another process.
 
-    Shard-scoped failures quarantine the shard (see ``events``); only
-    whole-store failures (a closed store, a path that is not a store
-    directory) raise.
+    A lock that stays held or an I/O error at open, flush or compaction
+    leaves the store failed (:attr:`failure`): nothing more is written,
+    and writes and checkpoints raise :class:`StoreError` so the caller
+    can detach it.
     """
 
     def __init__(
         self,
         path: os.PathLike,
-        shards: Optional[int] = None,
         checkpoint_interval: int = CHECKPOINT_INTERVAL,
     ):
         self.path = Path(path)
         self.checkpoint_interval = max(int(checkpoint_interval), 1)
-        if shards is not None and not 1 <= shards <= MAX_SHARDS:
-            raise ValueError(
-                f"shard count must be in [1, {MAX_SHARDS}], got {shards}"
-            )
+        self._segment = self.path / SEGMENT
+        self._lock = _SidecarLock(self.path / (SEGMENT + ".lock"))
         self._verdicts: Dict[CanonicalKey, CacheEntry] = {}
         self._reports: Dict[str, object] = {}
-        self._runs: List[Tuple[str, str]] = []
-        # Membership index over _runs: folding meta at corpus scale
-        # (tens of thousands of routine markers) must not be O(n^2).
-        self._runs_seen: Set[Tuple[str, str]] = set()
         self._foreign: Set[CanonicalKey] = set()
-        self._shard_memo: Dict[CanonicalKey, int] = {}
-        self._pending_total = 0
+        #: ``(kind, key)`` of every record known to be on disk, so a
+        #: flush skips records a concurrent writer already appended.
+        self._keys: Set[Tuple] = set()
+        #: Encoded records not yet flushed, with their ``(kind, key)``.
+        self._pending: List[Tuple[Tuple, bytes]] = []
+        #: How far this process has parsed the segment, and its inode.
+        self._offset = _HEADER.size
+        self._ino: Optional[int] = None
         self._closed = False
-        self.salt = 0
-        #: Absorbed shard-scoped failures as ``(where, message)`` pairs,
-        #: drained by the engine into ``"store"`` failure records.
-        self.events: List[Tuple[str, str]] = []
-        self._segments: List[_Segment] = []
-        self._meta: Optional[_Segment] = None
-        self.recovered_report: Optional[StoreReport] = None
-        if self.path.is_dir():
-            self._open_v2(shards)
-        elif self.path.exists():
-            raise StoreError(
-                f"{self.path} exists and is not a store directory"
-            )
+        #: The error that made the segment unusable (None while healthy).
+        self.failure: Optional[Exception] = None
+        self.recovered_report = StoreReport(path=self.path)
+        if self.path.exists():
+            if not (self.path.is_dir() and _is_store_dir(self.path)):
+                raise StoreError(
+                    f"{self.path} exists and is not a store directory"
+                )
         else:
-            self._create_v2(shards or DEFAULT_SHARDS)
+            self.path.mkdir(parents=True, exist_ok=True)
+        self._recover()
 
-    # -- open / create ---------------------------------------------------
+    # -- open ------------------------------------------------------------
 
-    def _manifest_path(self) -> Path:
-        return self.path / "manifest"
-
-    def _shard_path(self, shard: int) -> Path:
-        return self.path / f"shard-{shard:03d}.seg"
-
-    def _meta_path(self) -> Path:
-        return self.path / f"{META_SHARD}.seg"
-
-    def _write_manifest(self, shard_count: int, salt: int) -> None:
-        body = _MANIFEST.pack(MANIFEST_MAGIC, STORE_VERSION, shard_count, salt)
-        body += struct.pack("<I", zlib.crc32(body))
-        _atomic_create(self._manifest_path(), body, header=False)
-
-    @staticmethod
-    def read_manifest(path: Path) -> Tuple[Optional[Tuple[int, int]], str]:
-        """Parse ``<dir>/manifest``: ``((shard_count, salt), "")`` or
-        ``(None, reason)``."""
-        manifest = Path(path) / "manifest"
-        try:
-            data = manifest.read_bytes()
-        except OSError as exc:
-            return None, f"manifest unreadable: {exc.strerror or exc}"
-        if len(data) != _MANIFEST.size + 4:
-            return None, f"manifest truncated ({len(data)} bytes)"
-        magic, version, shard_count, salt = _MANIFEST.unpack_from(data, 0)
-        (crc,) = struct.unpack_from("<I", data, _MANIFEST.size)
-        if magic != MANIFEST_MAGIC:
-            return None, f"bad manifest magic {magic!r}"
-        if crc != zlib.crc32(data[: _MANIFEST.size]):
-            return None, "manifest CRC mismatch"
-        if version != STORE_VERSION:
-            return None, f"store format v{version} (this build writes v{STORE_VERSION})"
-        if not 1 <= shard_count <= MAX_SHARDS:
-            return None, f"implausible shard count {shard_count}"
-        return (shard_count, salt), ""
-
-    def _create_v2(self, shard_count: int) -> None:
-        # Stage the directory with its manifest already inside and
-        # rename it into place, so concurrent creators race on a single
-        # atomic rename: only the winner's manifest (and salt) is ever
-        # visible, and the loser simply opens the winner's store.
-        staging = self.path.with_name(f"{self.path.name}.create-{os.getpid()}")
-        if staging.exists():
-            import shutil
-
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        salt = struct.unpack("<I", os.urandom(4))[0]
-        body = _MANIFEST.pack(MANIFEST_MAGIC, STORE_VERSION, shard_count, salt)
-        body += struct.pack("<I", zlib.crc32(body))
-        _atomic_create(staging / "manifest", body, header=False)
-        try:
-            os.rename(staging, self.path)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(staging, ignore_errors=True)
-            self._open_v2(shard_count)
-            return
-        _fsync_dir(self.path.parent)
-        self._build_segments(shard_count, salt)
-        report = StoreReport(
-            path=self.path, version=STORE_VERSION,
-            shard_count=shard_count, salt=salt,
-        )
-        for segment in self._all_segments():
-            self._recover_segment(segment, report)
-        self.recovered_report = report
-
-    def _open_v2(self, shards: Optional[int]) -> None:
-        parsed, reason = self.read_manifest(self.path)
-        if parsed is None:
-            # A corrupt or missing manifest cannot be trusted for shard
-            # assignment; rebuild it with a fresh salt.  Existing
-            # segments are still folded (lookups use the global map), so
-            # prior verdicts survive — only future shard placement moves.
-            shard_count = shards or DEFAULT_SHARDS
-            salt = struct.unpack("<I", os.urandom(4))[0]
-            self._write_manifest(shard_count, salt)
-            print(
-                f"repro-deps: store {self.path}: {reason}; manifest rebuilt",
-                file=sys.stderr,
-            )
-        else:
-            shard_count, salt = parsed
-        self._build_segments(shard_count, salt)
-        report = StoreReport(
-            path=self.path, version=STORE_VERSION,
-            shard_count=shard_count, salt=salt,
-        )
-        if parsed is None:
-            report.problems.append(f"{reason}; manifest rebuilt")
-        for segment in self._all_segments():
-            self._recover_segment(segment, report)
-        self.recovered_report = report
-
-    def _build_segments(self, shard_count: int, salt: int) -> None:
-        self.salt = salt
-        self._segments = [
-            _Segment(self._shard_path(i), f"shard {i}", i)
-            for i in range(shard_count)
-        ]
-        self._meta = _Segment(self._meta_path(), META_SHARD, META_SHARD)
-
-    def _all_segments(self) -> List[_Segment]:
-        return self._segments + ([self._meta] if self._meta else [])
-
-    def _recover_segment(self, segment: _Segment, report: StoreReport) -> None:
-        """Open-time recovery of one segment, under its lock.
+    def _recover(self) -> None:
+        """Open-time recovery of the segment, under its lock.
 
         A torn tail found here belongs to a crashed writer (live writers
         only append while holding the lock) and is truncated back to the
         last valid record boundary.  A magic/schema mismatch rebuilds
-        the segment empty.  Lock starvation or I/O failure quarantines
-        the segment instead of failing the open.
+        the segment empty.  Lock starvation or an I/O error fails the
+        store instead of the open.
         """
         try:
-            faultinject.on_segment_open(segment.path, segment.shard)
-            _exclusive_create(segment.path)
-            segment.lock.acquire()
-        except StoreLockError as exc:
-            self._quarantine(segment, exc)
-            report.fold(StoreReport(path=segment.path, label=segment.label,
-                                    problems=[str(exc)]))
-            return
-        except OSError as exc:
-            self._quarantine(segment, exc)
-            report.fold(StoreReport(path=segment.path, label=segment.label,
-                                    problems=[f"cannot create: {exc}"]))
-            return
-        try:
-            faultinject.on_lock_held(segment.shard)
-            sub, records = _scan_segment_file(segment.path, segment.label)
-            if sub.rebuilt:
-                _atomic_create(segment.path)
-                print(
-                    f"repro-deps: store {self.path} {segment.label}: "
-                    f"{sub.problems[0]}; rebuilt empty",
-                    file=sys.stderr,
-                )
-                sub.size = 0  # the scan stopped at the header: no counts
-                segment.offset = _HEADER.size
-            else:
-                for record in records:
-                    self._fold(segment, record, foreign=False)
-                if sub.truncated_at is not None:
-                    with open(segment.path, "r+b") as handle:
-                        handle.truncate(sub.truncated_at)
-                        handle.flush()
-                        os.fsync(handle.fileno())
+            faultinject.on_segment_open(self._segment)
+            _exclusive_create(self._segment)
+            self._lock.acquire()
+            try:
+                faultinject.on_lock_held()
+                report, records = _scan_segment(self.path)
+                if report.rebuilt:
+                    _atomic_create(self._segment)
                     print(
-                        f"repro-deps: store {self.path} {segment.label}: "
-                        f"dropped corrupt tail at byte {sub.truncated_at} "
-                        f"({sub.problems[-1]})",
+                        f"repro-deps: store {self.path}: "
+                        f"{report.problems[0]}; rebuilt empty",
                         file=sys.stderr,
                     )
-                    segment.offset = sub.truncated_at
+                    report.size = 0  # the scan stopped at the header
                 else:
-                    segment.offset = _HEADER.size + max(sub.size - _HEADER.size, 0)
-            segment.ino = os.stat(segment.path).st_ino
-            report.fold(sub)
-        except OSError as exc:
-            self._quarantine(segment, exc)
-            report.fold(StoreReport(path=segment.path, label=segment.label,
-                                    problems=[f"recovery failed: {exc}"]))
-        finally:
-            segment.lock.release()
+                    for record in records:
+                        self._fold(record, foreign=False)
+                    if report.truncated_at is not None:
+                        self._truncate(report.truncated_at)
+                        print(
+                            f"repro-deps: store {self.path}: dropped "
+                            f"corrupt tail at byte {report.truncated_at} "
+                            f"({report.problems[-1]})",
+                            file=sys.stderr,
+                        )
+                        self._offset = report.truncated_at
+                    else:
+                        self._offset = max(report.size, _HEADER.size)
+                self._ino = os.stat(self._segment).st_ino
+                self.recovered_report = report
+            finally:
+                self._lock.release()
+        except (OSError, StoreLockError) as exc:
+            self._fail(exc)
+            self.recovered_report.problems.append(f"cannot open: {exc}")
+
+    def _fail(self, exc: Exception) -> None:
+        """Mark the store unusable: drop buffered records, stop writing."""
+        self.failure = exc
+        self._pending.clear()
 
     # -- record folding ---------------------------------------------------
 
-    def _fold(self, segment: _Segment, record: Tuple, foreign: bool) -> None:
+    def _fold(self, record: Tuple, foreign: bool) -> None:
         """Adopt one on-disk record into the in-memory view."""
-        kind = record[0]
-        identity = _record_identity(record)
-        if identity is not None:
-            segment.keys.add(identity)
+        kind, key = record[0], record[1]
+        self._keys.add((kind, key))
         if kind == "v":
-            if record[1] not in self._verdicts:
-                self._verdicts[record[1]] = record[2]
+            if key not in self._verdicts:
+                self._verdicts[key] = record[2]
                 if foreign:
-                    self._foreign.add(record[1])
-        elif kind == "d":
-            self._reports.setdefault(record[1], record[2])
-        elif kind == "r":
-            # A compaction-triggered re-parse replays markers already
-            # resident; dedup every marker by value.
-            marker = (record[1], record[2])
-            if marker not in self._runs_seen:
-                self._runs_seen.add(marker)
-                self._runs.append(marker)
+                    self._foreign.add(key)
+        else:
+            self._reports.setdefault(key, record[2])
 
-    def _quarantine(self, segment: _Segment, exc: Exception, dropped: int = 0) -> None:
-        """Degrade one shard to memory-only after an absorbed failure."""
-        if segment.quarantined:
-            return
-        segment.quarantined = True
-        segment.pending.clear()
-        note = f"{type(exc).__name__}: {exc}"
-        if dropped:
-            note += f" ({dropped} buffered record(s) not persisted)"
-        self.events.append(
-            (
-                f"store {self.path} [{segment.label}]",
-                f"{note}; shard quarantined, continuing memory-only",
-            )
-        )
+    def _catch_up(self, locked: bool) -> bool:
+        """Fold the records other writers appended since our last look.
 
-    def drain_events(self) -> List[Tuple[str, str]]:
-        """Return and clear absorbed shard-failure events."""
-        events, self.events = self.events, []
-        return events
+        Reads only the bytes past the last parsed offset; a segment whose
+        inode changed (a compaction replaced it) or that shrank is
+        re-parsed from its header, and records already resident are
+        skipped.  Without the lock a torn tail may be an in-flight
+        append, so parsing stops before it and the next look retries;
+        under the lock it can only be a crashed writer's residue and is
+        truncated, and a destroyed segment is rebuilt empty.  Returns
+        True when anything new was folded.
+        """
+        with open(self._segment, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            start = self._offset
+            if stat.st_ino != self._ino or stat.st_size < start:
+                start = _HEADER.size
+                if handle.read(_HEADER.size) != _HEADER.pack(
+                    MAGIC, SCHEMA_VERSION
+                ):
+                    if locked:
+                        _atomic_create(self._segment)
+                        self._keys.clear()
+                        self._offset = _HEADER.size
+                        self._ino = os.stat(self._segment).st_ino
+                    return False
+            elif stat.st_size == start:
+                return False
+            handle.seek(start)
+            data = handle.read()
+        before = len(self._verdicts) + len(self._reports)
 
-    @property
-    def quarantined_shards(self) -> List[str]:
-        return [s.label for s in self._all_segments() if s.quarantined]
+        def sink(record, _start, _end):
+            if record[:2] not in self._keys:
+                self._fold(record, foreign=True)
 
-    # -- shard routing -----------------------------------------------------
+        end = start + _parse_records(data, 0, StoreReport(self.path), sink)
+        if locked and end < start + len(data):
+            self._truncate(end)
+        self._offset = end
+        self._ino = stat.st_ino
+        return len(self._verdicts) + len(self._reports) > before
 
-    def _shard_of(self, key: CanonicalKey) -> int:
-        shard = self._shard_memo.get(key)
-        if shard is None:
-            blob = pickle.dumps(key, protocol=4)
-            shard = zlib.crc32(blob, self.salt) % max(len(self._segments), 1)
-            if len(self._shard_memo) >= _SHARD_MEMO_LIMIT:
-                self._shard_memo.clear()
-            self._shard_memo[key] = shard
-        return shard
+    def _poll(self) -> bool:
+        """Lock-free tail fold on a lookup miss (one ``stat`` when the
+        segment has not grown)."""
+        if self.failure is not None or self._closed:
+            return False
+        try:
+            stat = os.stat(self._segment)
+            if stat.st_ino == self._ino and stat.st_size <= self._offset:
+                return False
+            return self._catch_up(locked=False)
+        except OSError:
+            return False
 
-    def _segment_for(self, key: CanonicalKey) -> Optional[_Segment]:
-        if not self._segments:
-            return None
-        return self._segments[self._shard_of(key)]
+    def _truncate(self, size: int) -> None:
+        with open(self._segment, "r+b") as handle:
+            handle.truncate(size)
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def foreign(self, key: CanonicalKey) -> bool:
+        """True when ``key``'s resident entry arrived from a concurrent
+        process (folded from the segment's tail after this store opened)."""
+        return key in self._foreign
 
     # -- sizes -----------------------------------------------------------
 
@@ -1101,70 +844,18 @@ class VerdictStore:
         return self._closed
 
     def size(self) -> int:
-        """Total on-disk bytes across every segment."""
-        total = 0
-        for segment in self._all_segments():
-            try:
-                total += segment.path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    # -- tail polling (cross-process visibility) --------------------------
-
-    def _poll(self, segment: Optional[_Segment]) -> bool:
-        """Fold records a concurrent writer appended to ``segment``.
-
-        Lock-free: a torn tail may be an in-flight append, so parsing
-        stops at the first invalid record without advancing past it (the
-        next poll retries).  Returns True when anything was folded.
-        """
-        if segment is None or segment.quarantined or self._closed:
-            return False
+        """On-disk bytes of the segment."""
         try:
-            stat = os.stat(segment.path)
+            return self._segment.stat().st_size
         except OSError:
-            return False
-        if stat.st_ino == segment.ino and stat.st_size <= segment.offset:
-            return False
-        try:
-            data = segment.path.read_bytes()
-        except OSError:
-            return False
-        start = segment.offset
-        if stat.st_ino != segment.ino or len(data) < segment.offset:
-            # Replaced (compacted) or shrunk: re-parse from the header.
-            # Folding is idempotent, so records already resident are
-            # simply skipped.
-            if len(data) < _HEADER.size or data[:4] != MAGIC:
-                return False
-            start = _HEADER.size
-        scratch = StoreReport(path=segment.path, label=segment.label)
-        before = len(self._verdicts) + len(self._reports)
-
-        def sink(record, _start, _end):
-            known = _record_identity(record)
-            if known is not None and known in segment.keys:
-                return
-            self._fold(segment, record, foreign=True)
-
-        end = _parse_records(data, start, scratch, sink)
-        segment.offset = end
-        segment.ino = stat.st_ino
-        return len(self._verdicts) + len(self._reports) > before
-
-    def foreign(self, key: CanonicalKey) -> bool:
-        """True when ``key``'s resident entry arrived from a concurrent
-        process (folded from a shard tail after this store opened)."""
-        return key in self._foreign
+            return 0
 
     # -- reads -----------------------------------------------------------
 
     def get(self, key: CanonicalKey) -> Optional[CacheEntry]:
         entry = self._verdicts.get(key)
-        if entry is None and self._segments:
-            if self._poll(self._segment_for(key)):
-                entry = self._verdicts.get(key)
+        if entry is None and self._poll():
+            entry = self._verdicts.get(key)
         return entry
 
     def contains(self, key: CanonicalKey) -> bool:
@@ -1173,36 +864,30 @@ class VerdictStore:
     def get_report(self, token: str) -> Optional[object]:
         """The report document stored under ``token`` (or None).
 
-        Misses poll the token's shard tail like verdict reads, so a
-        sibling corpus writer's completed routines become skippable
-        mid-run.
+        Misses poll the segment's tail like verdict reads, so a sibling
+        corpus writer's completed routines become skippable mid-run.
         """
         value = self._reports.get(token)
-        if value is None and self._segments:
-            if self._poll(self._segment_for(token)):
-                value = self._reports.get(token)
+        if value is None and self._poll():
+            value = self._reports.get(token)
         return value
-
-    def runs(self) -> List[Tuple[str, str]]:
-        """Every ``(token, label)`` run marker, in append order."""
-        self._poll(self._meta)
-        return list(self._runs)
 
     # -- writes ----------------------------------------------------------
 
     def _check_writable(self) -> None:
         if self._closed:
             raise StoreError(f"store {self.path} is closed")
+        if self.failure is not None:
+            raise StoreError(
+                f"store {self.path} is unusable after "
+                f"{type(self.failure).__name__}: {self.failure}"
+            )
 
-    def _queue(self, segment: Optional[_Segment], identity: RecordId,
-               record: Tuple) -> None:
-        if segment is None or segment.quarantined:
-            return  # memory-only for this shard
-        segment.pending.append(
-            (identity, _encode_record(pickle.dumps(record, protocol=4)))
+    def _queue(self, record: Tuple) -> None:
+        self._pending.append(
+            (record[:2], _encode_record(pickle.dumps(record, protocol=4)))
         )
-        self._pending_total += 1
-        if self._pending_total >= self.checkpoint_interval:
+        if len(self._pending) >= self.checkpoint_interval:
             self.checkpoint()
 
     def put(self, key: CanonicalKey, entry: CacheEntry) -> None:
@@ -1217,7 +902,7 @@ class VerdictStore:
         if self._verdicts.get(key) is not None:
             return
         self._verdicts[key] = entry
-        self._queue(self._segment_for(key), ("v", key), ("v", key, entry))
+        self._queue(("v", key, entry))
 
     def put_report(self, token: str, value: object) -> None:
         """Persist one report document under its content token.
@@ -1233,17 +918,7 @@ class VerdictStore:
         if token in self._reports:
             return
         self._reports[token] = value
-        self._queue(self._segment_for(token), ("d", token), ("d", token, value))
-
-    def mark_run(self, token: str, label: str) -> None:
-        self._check_writable()
-        marker = (token, label)
-        identity = _record_identity(("r", token, label))
-        if identity is not None and marker in self._runs_seen:
-            return  # routine markers dedup: re-runs must not grow meta
-        self._runs_seen.add(marker)
-        self._runs.append(marker)
-        self._queue(self._meta, identity, ("r", token, label))
+        self._queue(("d", token, value))
 
     # ``benchmarks/e2e/spans.py`` still binds these two names; the next
     # benchmark change drops that binding, and then these methods.
@@ -1256,211 +931,113 @@ class VerdictStore:
     # -- durability -------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Flush and fsync buffered appends (a durability barrier).
+        """Append buffered records under the lock, flush and fsync (a
+        durability barrier).
 
-        Data shards flush before the meta shard, so a run or routine
-        marker is never durable before the verdicts it covers — the
-        resume protocol's ordering invariant, preserved across shards.
+        Raises when the lock stays held or the write fails; the store is
+        failed from then on (see :attr:`failure`).  A no-op once closed.
         """
         if self._closed:
             return
-        for segment in self._segments:
-            if segment.pending:
-                self._flush(segment)
-        if self._meta is not None and self._meta.pending:
-            self._flush(self._meta)
-
-    def _flush(self, segment: _Segment) -> None:
-        """Append one shard's buffered records under its lock."""
-        pending, segment.pending = segment.pending, []
-        self._pending_total -= len(pending)
-        if segment.quarantined:
+        self._check_writable()
+        if not self._pending:
             return
+        pending, self._pending = self._pending, []
         try:
-            segment.lock.acquire()
-        except StoreLockError as exc:
-            self._quarantine(segment, exc, dropped=len(pending))
-            return
-        try:
-            faultinject.on_lock_held(segment.shard)
-            self._sync_under_lock(segment)
-            with open(segment.path, "r+b") as handle:
-                handle.seek(segment.offset)
-                for identity, encoded in pending:
-                    if identity is not None and identity in segment.keys:
-                        continue  # a concurrent writer beat us to it
-                    handle.write(encoded)
-                    if identity is not None:
-                        segment.keys.add(identity)
-                    faultinject.on_store_append(segment.shard)
-                handle.flush()
-                os.fsync(handle.fileno())
-                segment.offset = handle.tell()
-                segment.ino = os.fstat(handle.fileno()).st_ino
+            self._lock.acquire()
+            try:
+                faultinject.on_lock_held()
+                self._catch_up(locked=True)
+                with open(self._segment, "r+b") as handle:
+                    handle.seek(self._offset)
+                    for identity, encoded in pending:
+                        if identity in self._keys:
+                            continue  # a concurrent writer beat us to it
+                        handle.write(encoded)
+                        self._keys.add(identity)
+                        faultinject.on_store_append()
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                    self._offset = handle.tell()
+                    self._ino = os.fstat(handle.fileno()).st_ino
+            finally:
+                self._lock.release()
         except (OSError, StoreError) as exc:
-            self._quarantine(segment, exc, dropped=len(pending))
-        finally:
-            segment.lock.release()
-
-    def _sync_under_lock(self, segment: _Segment) -> None:
-        """Catch up with concurrent writers while holding the lock.
-
-        Folds any tail records another process appended since our last
-        look.  A torn tail seen *under the lock* cannot be in-flight —
-        writers only touch the file locked — so it is a crashed writer's
-        residue and is truncated before we append after it.
-        """
-        stat = os.stat(segment.path)
-        start = segment.offset
-        if stat.st_ino != segment.ino and segment.ino is not None:
-            start = _HEADER.size  # replaced by a compaction: re-parse
-        elif stat.st_size < segment.offset:
-            start = _HEADER.size
-        elif stat.st_size == segment.offset:
-            segment.ino = stat.st_ino
-            return
-        data = segment.path.read_bytes()
-        if len(data) < _HEADER.size or data[:4] != MAGIC:
-            # The segment was destroyed under us; rebuild it empty.
-            _atomic_create(segment.path)
-            segment.keys.clear()
-            segment.offset = _HEADER.size
-            segment.ino = os.stat(segment.path).st_ino
-            return
-        scratch = StoreReport(path=segment.path, label=segment.label)
-
-        def sink(record, _start, _end):
-            identity = _record_identity(record)
-            if identity is not None and identity in segment.keys:
-                return
-            self._fold(segment, record, foreign=True)
-
-        end = _parse_records(data, start, scratch, sink)
-        if end < len(data):
-            with open(segment.path, "r+b") as handle:
-                handle.truncate(end)
-                handle.flush()
-                os.fsync(handle.fileno())
-        segment.offset = end
-        segment.ino = stat.st_ino
+            self._fail(exc)
+            raise
 
     # -- maintenance ------------------------------------------------------
 
-    def compact(self) -> "CompactionResult":
-        """Rewrite every shard's live state as fresh, delta-packed segments.
+    def compact(self) -> Tuple[int, int]:
+        """Rewrite the segment as its live state; returns the ``(before,
+        after)`` sizes in bytes.
 
         Verdicts rewrite as plain records (the hot replay path stays
-        cheap to poll); report documents — near-identical pickles — are
+        cheap to poll); report documents, near-identical pickles, are
         grouped :data:`GROUP_SIZE` at a time and delta-compressed
         against a shared base (``g`` records, the groupcompress idiom),
-        which is what keeps a corpus-scale store small.  Returns a
-        :class:`CompactionResult` (unpacks as the historical ``(before,
-        after)`` byte totals; per-shard deltas ride in ``.shards``).
-
-        Each shard is rewritten under its lock via temp file + atomic
-        rename, so a crash mid-compaction leaves that shard's old
-        segment intact and every other shard either fully old or fully
-        new — never mixed within one segment.  Quarantined shards are
-        skipped.  Deduped routine markers survive (resume state must not
-        be lost to maintenance); of the plain run markers only the
-        latest is kept.
+        which is what keeps a corpus-scale store small.  The rewrite
+        happens under the lock via temp file + atomic rename, so a crash
+        mid-compaction leaves the old segment intact.
         """
         self._check_writable()
         self.checkpoint()
-        before_total = self.size()
-        shard_sizes: List[Tuple[str, int, int]] = []
-        for segment in self._all_segments():
-            if segment.quarantined:
-                continue
+        before = self.size()
+        try:
+            self._lock.acquire()
             try:
-                segment.lock.acquire()
-            except StoreLockError as exc:
-                self._quarantine(segment, exc)
-                continue
-            try:
-                faultinject.on_lock_held(segment.shard)
-                self._sync_under_lock(segment)
-                try:
-                    seg_before = segment.path.stat().st_size
-                except OSError:
-                    seg_before = 0
+                faultinject.on_lock_held()
+                self._catch_up(locked=True)
                 body = io.BytesIO()
-                keys: Set[Tuple] = set()
-                for identity in sorted(
-                    (i for i in segment.keys if i[0] == "v"),
-                    key=lambda i: repr(i[1]),
-                ):
-                    entry = self._verdicts.get(identity[1])
-                    if entry is None:
-                        continue
-                    body.write(_encode_record(
-                        pickle.dumps(("v", identity[1], entry), protocol=4)
-                    ))
-                    keys.add(identity)
-                payloads: List[bytes] = []
-                for identity in sorted(
-                    (i for i in segment.keys if i[0] == "d"),
-                    key=lambda i: repr(i[1]),
-                ):
-                    value = self._reports.get(identity[1])
-                    if value is None:
-                        continue
-                    payloads.append(pickle.dumps(
-                        ("d", identity[1], value), protocol=4
-                    ))
-                    keys.add(identity)
+                verdicts = sorted(
+                    (key for kind, key in self._keys if kind == "v"), key=repr
+                )
+                for key in verdicts:
+                    body.write(_encode_record(pickle.dumps(
+                        ("v", key, self._verdicts[key]), protocol=4
+                    )))
+                tokens = sorted(
+                    (key for kind, key in self._keys if kind == "d"), key=repr
+                )
+                payloads = [
+                    pickle.dumps(("d", token, self._reports[token]), protocol=4)
+                    for token in tokens
+                ]
                 for start in range(0, len(payloads), GROUP_SIZE):
                     body.write(_encode_record(
                         _encode_group(payloads[start:start + GROUP_SIZE])
                     ))
-                if segment is self._meta:
-                    kept: List[Tuple[str, str]] = []
-                    last_plain: Optional[Tuple[str, str]] = None
-                    for marker in self._runs:
-                        if marker[1].startswith("routine:"):
-                            kept.append(marker)  # _runs is already deduped
-                        else:
-                            last_plain = marker
-                    if last_plain is not None:
-                        kept.append(last_plain)
-                    self._runs = kept
-                    self._runs_seen = set(kept)
-                    for token, label in kept:
-                        record = ("r", token, label)
-                        body.write(_encode_record(
-                            pickle.dumps(record, protocol=4)
-                        ))
-                        identity = _record_identity(record)
-                        if identity is not None:
-                            keys.add(identity)
-                faultinject.on_compact(segment.shard)
-                _atomic_create(segment.path, body.getvalue())
-                segment.keys = keys
-                segment.offset = _HEADER.size + len(body.getvalue())
-                segment.ino = os.stat(segment.path).st_ino
-                shard_sizes.append(
-                    (segment.label, seg_before, segment.offset)
-                )
-            except (OSError, StoreError) as exc:
-                self._quarantine(segment, exc)
+                faultinject.on_compact()
+                _atomic_create(self._segment, body.getvalue())
+                self._offset = _HEADER.size + len(body.getvalue())
+                self._ino = os.stat(self._segment).st_ino
             finally:
-                segment.lock.release()
-        return CompactionResult(before_total, self.size(), shard_sizes)
+                self._lock.release()
+        except (OSError, StoreError) as exc:
+            self._fail(exc)
+            raise
+        return before, self.size()
 
     def close(self) -> None:
-        """Checkpoint, then release and tidy shard sidecars (idempotent).
+        """Checkpoint, then release and tidy the lock sidecar (idempotent).
 
-        Sidecar ``.lock`` files are unlinked when no other process holds
-        them, so dead-holder locks never accumulate next to the store.
+        A final flush that fails leaves the store failed rather than
+        raising, so ``close`` is safe in cleanup paths; callers that must
+        report the failure checkpoint first, as the caching driver's
+        ``flush`` does.  The ``.lock`` sidecar is unlinked when no other
+        process holds it, so dead-holder locks never accumulate next to
+        the store.
         """
         if self._closed:
             return
         try:
-            self.checkpoint()
+            if self.failure is None:
+                self.checkpoint()
+        except (OSError, StoreError):
+            pass  # the error stays in self.failure
         finally:
-            for segment in self._all_segments():
-                segment.lock.cleanup()
-        self._closed = True
+            self._lock.cleanup()
+            self._closed = True
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -1479,32 +1056,16 @@ class VerdictStore:
 
     @classmethod
     def scan(cls, path: os.PathLike) -> StoreReport:
-        """Parse a store directory without repairing it.
-
-        Used by ``repro-deps store verify``/``info``.  For a v2 store the
-        report aggregates every segment; per-segment sub-reports are in
-        ``report.shards``.
-        """
+        """Parse a store directory without repairing it (``repro-deps
+        store verify``/``info``)."""
         path = Path(path)
-        if not path.is_dir():
-            report = StoreReport(path=path)
-            reason = "not a store directory" if path.exists() else "no such store"
-            report.problems.append("cannot read: " + reason)
+        report = StoreReport(path=path)
+        try:
+            if path.is_dir() and _is_store_dir(path):
+                return _scan_segment(path)[0]
+        except OSError as exc:
+            report.problems.append(f"cannot read: {exc.strerror or exc}")
             return report
-        parsed, reason = cls.read_manifest(path)
-        report = StoreReport(path=path, version=STORE_VERSION)
-        if parsed is None:
-            report.rebuilt = True
-            report.problems.append(reason)
-            return report
-        shard_count, salt = parsed
-        report.shard_count = shard_count
-        report.salt = salt
-        for i in range(shard_count):
-            sub, _ = _scan_segment_file(
-                path / f"shard-{i:03d}.seg", f"shard {i}"
-            )
-            report.fold(sub)
-        sub, _ = _scan_segment_file(path / f"{META_SHARD}.seg", META_SHARD)
-        report.fold(sub)
+        reason = "not a store directory" if path.exists() else "no such store"
+        report.problems.append("cannot read: " + reason)
         return report

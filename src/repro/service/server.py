@@ -22,9 +22,10 @@ machinery layered around the engine seam:
   and ``Retry-After``.
 * **Coalescing** — concurrent requests for the same canonical body share
   one analysis; duplicates cost no admission slot.
-* **Circuit breaker** — repeated store failures trip to memory-only
-  mode; the breaker surfaces in ``/healthz`` and recovers through
-  half-open probes.
+* **Circuit breaker** — a store failure (lock starvation, an
+  unwritable segment, ``ENOSPC``) detaches the store and trips to
+  memory-only mode; the breaker surfaces in ``/healthz`` and recovers
+  through half-open probes that reopen the store.
 * **Graceful shutdown** — SIGTERM/SIGINT stop accepting work (new
   requests get ``503``), drain in-flight requests, checkpoint the store,
   and exit cleanly.
@@ -99,7 +100,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     store_path: Optional[Path] = None
-    store_shards: Optional[int] = None
     max_in_flight: int = 4
     queue_depth: int = 8
     #: Applied when a request carries no ``deadline_ms``; None = unbounded.
@@ -205,7 +205,7 @@ class DependenceService:
         config = self.config
         store = None
         if config.store_path is not None:
-            store = VerdictStore(config.store_path, shards=config.store_shards)
+            store = VerdictStore(config.store_path)
         kwargs: Dict[str, Any] = {}
         if config.cache_size is not None:
             kwargs["cache_size"] = config.cache_size
@@ -631,12 +631,10 @@ class DependenceService:
         failure window only while the breaker is closed.
 
         The store needs one extra wrinkle: the driver detaches a failing
-        store *itself* (first whole-store failure → memory-only, PR 3
-        semantics), so by the time this runs the store may already be
-        gone.  That self-detach is the trip — the breaker's window never
-        sees a second failure because there is no store left to fail.
-        Shard quarantines, by contrast, leave the store attached; those
-        accumulate in the window and trip on repetition.
+        store *itself* (its first failure → memory-only), so by the time
+        this runs the store may already be gone.  That self-detach is
+        the trip — the breaker's window never sees a second failure
+        because there is no store left to fail.
         """
         engine = self.engine
         if engine is None:
@@ -732,8 +730,8 @@ class DependenceService:
         if engine is None or path is None:
             return False
         try:
-            store = VerdictStore(path, shards=self.config.store_shards)
-        except (StoreError, OSError, ValueError):
+            store = VerdictStore(path)
+        except (StoreError, OSError):
             return False
         with engine.serve_lock:
             engine.driver.persist = store

@@ -204,14 +204,9 @@ def table3(
                     continue
                 tested += graph.tested_pairs
                 independent += graph.independent_pairs
-                checkpoint = getattr(engine, "checkpoint", None)
-                if checkpoint is not None and engine.store is not None:
-                    try:
-                        checkpoint.mark_routine(
-                            f"{suite}/{program.name}/{routine.name}"
-                        )
-                    except Exception as exc:
-                        engine.driver._degrade_store(exc)
+                # Per-routine durability barrier: a killed ``--store``
+                # run keeps every routine it finished.
+                engine.driver.flush()
         rows.append(Table3Row(suite, recorder, tested, independent))
     return rows
 

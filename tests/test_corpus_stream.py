@@ -7,10 +7,8 @@ file's routines, byte-identical output either way), report records in
 the store (round trip, reopen, survival through compaction), fault
 isolation (malformed files and crashed routines quarantine without
 stopping the walk; strict mode aborts instead), backpressure (RSS
-watermark shedding, store-rejection degradation), the
-``resume_summary`` banner against a sharded store with sibling-writer
-records, kill-at-file-boundary and mid-file resume, and the ``corpus
-run`` CLI.
+watermark shedding, store-rejection degradation), kill-at-file-boundary
+and mid-file resume, and the ``corpus run`` CLI.
 
 The walk runs two ways — in-process, or through the spawned worker pool
 — so the ``...Pooled`` subclasses rerun those classes with the pool
@@ -38,18 +36,18 @@ from repro.corpus.stream import (
     current_rss_mb,
     file_token,
     routine_token,
+    run_token,
     stream_corpus,
     walk_tree,
 )
 from repro.delta.delta import DeltaOptions
 from repro.engine import (
-    CheckpointLog,
     DependenceEngine,
     FaultPolicy,
     VerdictStore,
 )
 from repro.engine.faultinject import InjectedFaultError
-from repro.engine.store import CHECKPOINT_INTERVAL, _scan_segment_file
+from repro.engine.store import CHECKPOINT_INTERVAL, _scan_segment
 
 SRC_DIR = str(Path(__file__).parent.parent / "src")
 
@@ -111,11 +109,11 @@ def make_tree(root, files=4, seed=11):
 
 
 def run_stream(
-    tree, store_path=None, shards=None, strict=False, engine_options=None, **kwargs
+    tree, store_path=None, strict=False, engine_options=None, **kwargs
 ):
     """One streaming pass from this process (in-process, or the pool
     after :func:`force_pool`); returns (text, corpus stats, engine)."""
-    store = VerdictStore(store_path, shards=shards) if store_path else None
+    store = VerdictStore(store_path) if store_path else None
     engine = DependenceEngine(
         symbols=default_symbols(),
         policy=FaultPolicy.from_env(strict=strict),
@@ -133,6 +131,11 @@ def run_stream(
 
 
 class TestWalkAndTokens:
+    def test_run_token_stable_and_discriminating(self):
+        assert run_token("analyze", "src") == run_token("analyze", "src")
+        assert run_token("analyze", "src") != run_token("analyze", "src2")
+        assert run_token("a", "bc") != run_token("ab", "c")  # length-prefixed
+
     def test_walk_is_sorted_relative_and_filtered(self, tmp_path):
         tree = make_tree(tmp_path / "t", files=3)
         (tree / "notes.txt").write_text("not fortran\n")
@@ -309,7 +312,7 @@ class TestFaultIsolation:
 class TestReportRecords:
     def test_report_round_trip_and_reopen(self, tmp_path):
         path = tmp_path / "s.rvs"
-        with VerdictStore(path, shards=4) as store:
+        with VerdictStore(path) as store:
             store.put_report("token-a", "report text\n")
             store.put_report("token-b", {"routines": ["token-a"]})
             assert store.get_report("token-a") == "report text\n"
@@ -326,13 +329,12 @@ class TestReportRecords:
             f"tok{i:03d}": f"-- routine r{i} --\nshared body line\n({i} pairs)\n"
             for i in range(40)
         }
-        with VerdictStore(path, shards=2) as store:
+        with VerdictStore(path) as store:
             for token, text in texts.items():
                 store.put_report(token, text)
         with VerdictStore(path) as store:
-            result = store.compact()
-            assert result.before > result.after  # delta groups shrink it
-            assert result.shards  # per-shard sizes reported
+            before, after = store.compact()
+            assert before > after  # delta groups shrink it
         with VerdictStore(path) as store:
             assert store.report_count == len(texts)
             for token, text in texts.items():
@@ -350,48 +352,6 @@ class TestReportRecords:
         warm, stats, _ = run_stream(tree, store_path)
         assert warm == cold
         assert stats.skip_rate == 1.0
-
-
-class TestResumeSummaryForeign:
-    """Satellite: ``resume_summary`` against a sharded multi-writer store."""
-
-    def test_banner_counts_survive_sibling_writers(self, tmp_path):
-        path = tmp_path / "s.rvs"
-        token_a = "aaaa111122223333"
-        token_b = "bbbb444455556666"
-        with VerdictStore(path, shards=4) as writer_a:
-            with VerdictStore(path) as writer_b:
-                writer_a.mark_run(token_a, "corpus:run")
-                writer_a.mark_run(token_a, "routine:alpha")
-                writer_a.checkpoint()
-                # sibling writer: same token (duplicate marker) and a
-                # foreign token that must not leak into A's counts
-                writer_b.mark_run(token_a, "routine:alpha")
-                writer_b.mark_run(token_a, "routine:beta")
-                writer_b.mark_run(token_b, "corpus:other")
-                writer_b.mark_run(token_b, "routine:gamma")
-                writer_b.checkpoint()
-        with VerdictStore(path) as store:
-            log = CheckpointLog(store, token_a)
-            assert log.prior_routines == {"alpha", "beta"}
-            assert log.prior_runs == 1  # routine markers are not runs
-            assert log.resumable
-            banner = log.resume_summary()
-            assert "2 routine(s) checkpointed" in banner
-            foreign = CheckpointLog(store, "cccc000000000000")
-            assert not foreign.resumable
-            assert "starting fresh" in foreign.resume_summary()
-
-    def test_duplicate_routine_markers_fold_once_on_disk(self, tmp_path):
-        path = tmp_path / "s.rvs"
-        token = "aaaa111122223333"
-        with VerdictStore(path, shards=2) as store:
-            for _ in range(3):
-                store.mark_run(token, "routine:alpha")
-            store.checkpoint()
-        with VerdictStore(path) as store:
-            markers = [label for t, label in store.runs() if t == token]
-            assert markers.count("routine:alpha") == 1
 
 
 class TestKillResume:
@@ -425,7 +385,7 @@ class TestKillResume:
         assert cold.returncode == 0
         killed = run_cli(
             ["store", "compact", str(store)],
-            faults="die-compact:2",
+            faults="die-compact:1",
             marker=marker,
         )
         assert killed.returncode == 9
@@ -440,16 +400,16 @@ class TestKillResume:
     def test_mid_file_kill_resumes_from_the_stored_routines(self, tmp_path):
         tree = tmp_path / "t"
         synthesize_corpus_tree(tree, files=3, routines_per_file=70, seed=11)
-        run = ["corpus", "run", str(tree), "--store-shards", "1", "--store"]
+        run = ["corpus", "run", str(tree), "--store"]
         reference = run_cli(["corpus", "run", str(tree)])
         assert reference.returncode == 0
-        # A single-shard store appends every record to one segment, in
-        # order.  The store checkpoints itself every CHECKPOINT_INTERVAL
-        # records, so the second file's first records are flushed before
-        # its last ones: die at the first append after that flush.
+        # The store appends every record to its one segment, in order,
+        # and checkpoints itself every CHECKPOINT_INTERVAL records, so
+        # the second file's first records are flushed before its last
+        # ones: die at the first append after that flush.
         clean = tmp_path / "clean.rvs"
         assert run_cli([*run, str(clean)]).returncode == 0
-        _, records = _scan_segment_file(clean / "shard-000.seg", "0")
+        _, records = _scan_segment(clean)
         first_file = next(
             i for i, record in enumerate(records)
             if record[0] == "d" and isinstance(record[2], dict)
@@ -527,27 +487,17 @@ class TestCorpusCLI:
         assert "compaction opportunity" in out
         assert "report(s)" in out
 
-    def test_store_compact_reports_per_shard_sizes(self, tmp_path, capsys):
-        tree = make_tree(tmp_path / "t", files=2)
-        store = tmp_path / "s.rvs"
-        assert main(["corpus", "run", str(tree), "--store", str(store)]) == 0
-        capsys.readouterr()
-        assert main(["store", "compact", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "reclaimed" in out
-        assert "shard 0:" in out
-
 
 class TestIncrementalPooled(Pooled, TestIncremental):
     def test_pool_prints_and_writes_what_in_process_does(
         self, tmp_path, monkeypatch
     ):
         tree = make_tree(tmp_path / "t", files=6)
-        text, stats, engine = run_stream(tree, tmp_path / "pool.rvs", shards=1)
+        text, stats, engine = run_stream(tree, tmp_path / "pool.rvs")
         assert stats.workers == 2
         monkeypatch.setattr(stream, "usable_cpus", lambda: 1)
         serial, serial_stats, serial_engine = run_stream(
-            tree, tmp_path / "serial.rvs", shards=1
+            tree, tmp_path / "serial.rvs"
         )
         assert serial_stats.workers == 0
         assert text == serial
@@ -557,7 +507,7 @@ class TestIncrementalPooled(Pooled, TestIncremental):
 
         # the parent writes the workers' records in the in-process order
         def appended(store):
-            _, records = _scan_segment_file(store / "shard-000.seg", "0")
+            _, records = _scan_segment(store)
             return [record[:2] for record in records]
 
         assert appended(tmp_path / "pool.rvs") == appended(tmp_path / "serial.rvs")

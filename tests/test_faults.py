@@ -91,9 +91,9 @@ class TestStepBudget:
 
 class TestFaultSpecParsing:
     def test_full_spec(self):
-        plan = parse_spec("pair-delay:5.5,store-die:2:meta,pair-error:A,routine-error:S")
+        plan = parse_spec("pair-delay:5.5,store-die:2,pair-error:A,routine-error:S")
         assert plan.pair_delay == 5.5
-        assert plan.store_die == 2 and plan.store_die_shard == "meta"
+        assert plan.store_die == 2
         assert plan.pair_arrays == frozenset({"a"})
         assert plan.routines == frozenset({"s"})
 

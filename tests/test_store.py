@@ -1,18 +1,18 @@
-"""Tests for the sharded crash-safe verdict store and resume protocol.
+"""Tests for the crash-safe verdict store and kill-and-resume runs.
 
-Covers the v2 directory format (manifest + key-prefix shard segments +
-meta shard), the record format (round-trip through a reopen), every
+Covers the store layout (a directory holding one segment; an ordinary
+file or a directory that is not a store is refused and left intact,
+byte-for-byte), the record format (round-trip through a reopen), every
 recovery rule (torn frame, CRC mismatch, undecodable record, schema
-mismatch) applied per shard, the multi-writer protocol (concurrent
-opens, per-batch locks, cross-process tail visibility, on-disk dedup),
-shard quarantine (lock starvation degrades one shard to memory-only,
-never the run), exponential lock backoff, sidecar cleanup, the refusal
-of a ``--store`` path that is an ordinary file (left byte-for-byte
-intact), the contamination guarantee (assumed verdicts refused), the
-checkpoint log, the ``store`` CLI subcommands, and the headline
-robustness property: a run killed mid-write (``store-die`` injection —
-an ``os._exit`` with unflushed buffers, the same torn-tail state a
-SIGKILL produces) reopens cleanly and ``--resume`` reproduces the
+mismatch), the multi-writer protocol (concurrent opens, per-batch
+locks, cross-process tail visibility that reads only new bytes, on-disk
+dedup), store failures (lock starvation at open or at flush detaches
+the store with one ``store`` failure record, never an assumed verdict),
+exponential lock backoff, sidecar cleanup, the contamination guarantee
+(assumed verdicts refused), the ``store`` CLI subcommands, and the
+headline robustness property: a run killed mid-write (``store-die``
+injection — an ``os._exit`` with unflushed buffers, the same torn-tail
+state a SIGKILL produces) reopens cleanly and a rerun reproduces the
 uninterrupted run's output byte-for-byte with verdicts served from the
 store.
 """
@@ -30,16 +30,14 @@ import pytest
 from repro.cli import main
 from repro.engine import (
     CachedDriver,
-    CheckpointLog,
     StoreError,
     StoreLockError,
     VerdictStore,
-    run_token,
 )
 from repro.engine.store import (
     MAGIC,
     SCHEMA_VERSION,
-    STORE_VERSION,
+    SEGMENT,
     _HEADER,
     _SidecarLock,
     _encode_record,
@@ -70,12 +68,20 @@ KERNEL = """
 """
 
 #: ``store-die`` point landing inside routine 2 of ``KERNEL``: routine 1's
-#: completion checkpoint (its ``mark_routine``) has already fsynced that
-#: routine's verdicts, so the killed run leaves durable progress behind.
-#: The record stream is the run marker (append 1), routine 1's two
-#: verdicts (2-3) and marker (4), then routine 2's two verdicts (5-6) and
-#: marker (7); append 5 is routine 2's first verdict.
-DIE_MID_RUN = 5
+#: per-routine checkpoint has already fsynced its verdicts, so the killed
+#: run leaves durable progress behind.  The record stream is routine 1's
+#: two verdicts (appends 1-2, one flush) and routine 2's two verdicts
+#: (3-4, a second flush); append 3 is routine 2's first verdict.
+DIE_MID_RUN = 3
+
+#: A store directory in the layout of store format 2: a manifest,
+#: key-prefix shard segments and a marker segment.  This build never
+#: reads, migrates or deletes it.
+SHARDED_LAYOUT = {
+    "manifest": b"RVSM" + bytes(16),
+    "shard-000.seg": _HEADER.pack(MAGIC, 2),
+    "meta.seg": _HEADER.pack(MAGIC, 2),
+}
 
 
 def subprocess_env():
@@ -103,10 +109,10 @@ def normalize(text):
     return re.sub(r"\bS\d+\b", "S#", text)
 
 
-def fill_store(path, seed=7, shards=None):
+def fill_store(path, seed=7):
     """Analyze a random nest through a store-backed driver; returns keys."""
     nodes = random_nest(seed, depth=2, statements=3, arrays=2, ndim=2, extent=8)
-    with VerdictStore(path, shards=shards) as store:
+    with VerdictStore(path) as store:
         driver = CachedDriver(store=store)
         build_dependence_graph(nodes, tester=driver)
         keys = [
@@ -117,50 +123,49 @@ def fill_store(path, seed=7, shards=None):
 
 
 def store_size(path):
-    """Total on-disk record bytes of a store directory."""
+    """On-disk bytes of a store's segment."""
     return VerdictStore.scan(path).size
 
 
-def populated_segments(path):
-    """The store directory's segment files that hold at least one record."""
-    return sorted(
-        seg for seg in Path(path).glob("*.seg")
-        if seg.stat().st_size > _HEADER.size
-    )
+def listing(path):
+    """Every file under ``path`` with its bytes (to prove nothing moved)."""
+    return {
+        p.relative_to(path).as_posix(): p.read_bytes()
+        for p in sorted(Path(path).rglob("*"))
+        if p.is_file()
+    }
 
 
-def shard_report(report, label):
-    """The per-segment sub-report with the given label."""
-    for sub in report.shards:
-        if sub.label == label:
-            return sub
-    raise AssertionError(f"no sub-report labeled {label!r} in {report.shards}")
-
-
-def write_old_schema_store(path, shards=2):
-    """A store directory as the previous schema (version 1) wrote it:
-    verdict, plan and chunk-marker records under a version-1 header."""
+def write_old_schema_store(path):
+    """A store segment as the previous schema (version 2) wrote it:
+    verdict records next to run and routine markers."""
     staging = path.with_name(path.name + ".donor")
     fill_store(staging)
     with VerdictStore(staging) as donor:
         verdicts = list(donor._verdicts.items())
-    VerdictStore(path, shards=shards).close()
-    records = {f"shard-{i:03d}.seg": [] for i in range(shards)}
-    for i, (key, entry) in enumerate(verdicts):
-        shard = records[f"shard-{i % shards:03d}.seg"]
-        shard.append(("v", key, entry))
-        shard.append(("p", key, ("plan", key)))
-    records["meta.seg"] = [
-        ("r", "tok", "analyze:x.f"),
-        ("c", "tok", 0, 1),
-        ("r", "tok", "routine:kern"),
-    ]
-    for name, items in records.items():
-        with open(path / name, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, 1))
-            for record in items:
-                handle.write(_encode_record(pickle.dumps(record, 4)))
+    path.mkdir()
+    records = [("v", key, entry) for key, entry in verdicts]
+    records += [("r", "tok", "analyze:x.f"), ("r", "tok", "routine:kern")]
+    with open(path / SEGMENT, "wb") as handle:
+        handle.write(_HEADER.pack(MAGIC, 2))
+        for record in records:
+            handle.write(_encode_record(pickle.dumps(record, 4)))
     return path
+
+
+def hold_lock(path):
+    """Take a store's lock from outside, as a stalled writer would."""
+    blocker = _SidecarLock(Path(path) / (SEGMENT + ".lock"))
+    blocker.acquire()
+    return blocker
+
+
+@pytest.fixture()
+def no_backoff(monkeypatch):
+    """Run a starved lock's retry schedule without sleeping."""
+    import repro.engine.store as store_mod
+
+    monkeypatch.setattr(store_mod.time, "sleep", lambda seconds: None)
 
 
 class TestRecordFormat:
@@ -173,23 +178,6 @@ class TestRecordFormat:
                 assert store.contains(key)
                 assert store.get(key) is not None
             assert store.recovered_report.clean
-
-    def test_markers_round_trip(self, tmp_path):
-        path = tmp_path / "s.db"
-        with VerdictStore(path) as store:
-            store.mark_run("tok1", "analyze:x.f")
-            store.mark_run("tok1", "routine:kern1")
-            store.mark_run("tok1", "routine:kern2")
-            store.mark_run("other", "routine:kern1")
-            store.mark_run("tok1", "routine:kern1")  # routine markers dedup
-        with VerdictStore(path) as store:
-            assert store.runs() == [
-                ("tok1", "analyze:x.f"),
-                ("tok1", "routine:kern1"),
-                ("tok1", "routine:kern2"),
-                ("other", "routine:kern1"),
-            ]
-        assert VerdictStore.scan(path).runs == 4
 
     def test_put_dedups_by_key(self, tmp_path):
         path = tmp_path / "s.db"
@@ -224,7 +212,7 @@ class TestRecordFormat:
         store.close()
         store.close()  # idempotent
         with pytest.raises(StoreError, match="closed"):
-            store.mark_run("t", "l")
+            store.put_report("t", "l")
 
 
 def _key(context, mapping):
@@ -233,76 +221,35 @@ def _key(context, mapping):
     return canonical_pair_key(context, mapping)
 
 
-class TestShardLayout:
-    def test_directory_layout_and_manifest(self, tmp_path):
+class TestLayout:
+    def test_directory_holds_one_segment(self, tmp_path):
         path = tmp_path / "s.db"
-        VerdictStore(path, shards=4).close()
-        names = sorted(p.name for p in path.iterdir())
-        assert "manifest" in names
-        assert [n for n in names if n.startswith("shard-")] == [
-            f"shard-{i:03d}.seg" for i in range(4)
-        ]
-        assert "meta.seg" in names
+        fill_store(path)
+        assert sorted(p.name for p in path.iterdir()) == [SEGMENT]
         report = VerdictStore.scan(path)
-        assert report.version == STORE_VERSION
-        assert report.shard_count == 4
+        assert report.version == SCHEMA_VERSION
+        assert report.verdicts > 0 and report.clean
 
-    def test_manifest_shard_count_wins_over_argument(self, tmp_path):
+    def test_empty_directory_is_adopted(self, tmp_path):
         path = tmp_path / "s.db"
-        VerdictStore(path, shards=3).close()
-        with VerdictStore(path, shards=7) as store:
-            assert len(store._segments) == 3
-
-    def test_keys_spread_across_shards(self, tmp_path):
-        path = tmp_path / "s.db"
-        fill_store(path, shards=4)
-        with_data = [
-            seg for seg in populated_segments(path)
-            if seg.name.startswith("shard-")
-        ]
-        assert len(with_data) > 1, "all keys hashed to one shard"
-
-    def test_shard_routing_is_stable(self, tmp_path):
-        path = tmp_path / "s.db"
-        _, keys = fill_store(path)
-        with VerdictStore(path) as store:
-            first = [store._shard_of(key) for key in keys]
-            assert first == [store._shard_of(key) for key in keys]
-        with VerdictStore(path) as store:  # same salt from the manifest
-            assert first == [store._shard_of(key) for key in keys]
-
-    def test_corrupt_manifest_rebuilt_keeps_records(self, tmp_path, capsys):
-        path = tmp_path / "s.db"
-        nodes, keys = fill_store(path)
-        (path / "manifest").write_bytes(b"garbage")
-        with VerdictStore(path) as store:
-            # Old segments still fold into the global map on open.
-            assert any(store.get(key) is not None for key in keys)
-            assert any(
-                "manifest" in p for p in store.recovered_report.problems
-            )
-        assert "manifest rebuilt" in capsys.readouterr().err
-        # The rewritten manifest parses cleanly now.
-        assert VerdictStore.scan(path).shard_count > 0
-
-    def test_bad_shard_count_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shard count"):
-            VerdictStore(tmp_path / "s.db", shards=0)
+        path.mkdir()
+        fill_store(path)
+        assert sorted(p.name for p in path.iterdir()) == [SEGMENT]
+        assert VerdictStore.scan(path).verdicts > 0
 
 
 class TestRecovery:
     def test_trailing_garbage_truncated(self, tmp_path, capsys):
         path = tmp_path / "s.db"
         nodes, keys = fill_store(path)
-        segment = populated_segments(path)[0]
+        segment = path / SEGMENT
         good_size = segment.stat().st_size
         with open(segment, "ab") as handle:
             handle.write(b"\xde\xad\xbe\xef" * 5)
         with VerdictStore(path) as store:
             report = store.recovered_report
             assert not report.clean
-            sub = shard_report(report, _seg_label(segment))
-            assert sub.truncated_at == good_size
+            assert report.truncated_at == good_size
             for key in keys:
                 assert store.contains(key)
         assert segment.stat().st_size == good_size
@@ -311,20 +258,19 @@ class TestRecovery:
     def test_torn_half_record_truncated(self, tmp_path):
         path = tmp_path / "s.db"
         fill_store(path)
-        segment = populated_segments(path)[0]
+        segment = path / SEGMENT
         good_size = segment.stat().st_size
         # A plausible frame header claiming more payload than exists.
         with open(segment, "ab") as handle:
             handle.write(struct.pack("<II", 10_000, 0) + b"partial")
         with VerdictStore(path) as store:
-            sub = shard_report(store.recovered_report, _seg_label(segment))
-            assert sub.truncated_at == good_size
+            assert store.recovered_report.truncated_at == good_size
         assert segment.stat().st_size == good_size
 
     def test_crc_flip_truncates_tail(self, tmp_path):
         path = tmp_path / "s.db"
         fill_store(path)
-        segment = populated_segments(path)[0]
+        segment = path / SEGMENT
         data = bytearray(segment.read_bytes())
         data[-1] ^= 0xFF  # corrupt the last record's payload
         segment.write_bytes(data)
@@ -338,51 +284,34 @@ class TestRecovery:
     def test_schema_mismatch_rebuilds_shard_empty(self, tmp_path, capsys):
         path = tmp_path / "s.db"
         nodes, keys = fill_store(path)
-        for segment in path.glob("*.seg"):
-            data = bytearray(segment.read_bytes())
-            data[: _HEADER.size] = _HEADER.pack(MAGIC, SCHEMA_VERSION + 1)
-            segment.write_bytes(data)
+        segment = path / SEGMENT
+        data = bytearray(segment.read_bytes())
+        data[: _HEADER.size] = _HEADER.pack(MAGIC, SCHEMA_VERSION + 1)
+        segment.write_bytes(data)
         with VerdictStore(path) as store:
             assert len(store) == 0
             assert store.report_count == 0
-            assert any(sub.rebuilt for sub in store.recovered_report.shards)
+            assert store.recovered_report.rebuilt
         assert "rebuilt empty" in capsys.readouterr().err
         assert VerdictStore.scan(path).clean
 
     def test_previous_schema_rebuilds_empty_and_stays_usable(
         self, tmp_path, capsys
     ):
-        """Segments of the previous schema, which held plan and chunk
-        records, open rebuilt empty through the schema rule; the store
+        """A segment of the previous schema, which held run and routine
+        markers, opens rebuilt empty through the schema rule; the store
         then takes fresh writes and verifies clean."""
         path = write_old_schema_store(tmp_path / "old.db")
         with VerdictStore(path) as store:
             assert len(store) == 0
-            assert store.runs() == []
-            assert all(sub.rebuilt for sub in store.recovered_report.shards)
-            store.mark_run("t", "after-rebuild")
+            assert store.recovered_report.rebuilt
         err = capsys.readouterr().err
-        assert err.count("schema version 1") == 3  # two shards and meta
-        assert err.count("rebuilt empty") == 3
+        assert err.count("schema version 2") == 1
+        assert err.count("rebuilt empty") == 1
         fill_store(path)
         report = VerdictStore.scan(path)
         assert report.clean
-        assert report.verdicts > 0 and report.runs == 1
-
-    def test_one_bad_shard_leaves_the_rest(self, tmp_path):
-        """Per-shard isolation: a destroyed segment loses only its keys."""
-        path = tmp_path / "s.db"
-        nodes, keys = fill_store(path, shards=4)
-        shard_segs = [
-            seg for seg in populated_segments(path)
-            if seg.name.startswith("shard-")
-        ]
-        assert len(shard_segs) > 1
-        victim = shard_segs[0]
-        victim.write_bytes(b"not a segment")
-        with VerdictStore(path) as store:
-            assert len(store) > 0  # the other shards' verdicts survive
-            assert sum(1 for key in keys if store.get(key) is not None) > 0
+        assert report.verdicts > 0
 
     @pytest.mark.parametrize(
         "body",
@@ -405,24 +334,28 @@ class TestRecovery:
     def test_recovered_store_still_writable(self, tmp_path):
         path = tmp_path / "s.db"
         fill_store(path)
-        segment = populated_segments(path)[0]
-        with open(segment, "ab") as handle:
+        with open(path / SEGMENT, "ab") as handle:
             handle.write(b"junk")
         with VerdictStore(path) as store:
-            store.mark_run("t", "after-recovery")
+            store.put_report("t", "after-recovery")
         with VerdictStore(path) as store:
-            assert ("t", "after-recovery") in store.runs()
+            assert store.get_report("t") == "after-recovery"
 
     def test_compact_drops_dead_weight(self, tmp_path):
+        """An undecodable record (sound framing, bad payload) is dropped
+        on read and counted dead; compaction reclaims its bytes."""
         path = tmp_path / "s.db"
+        nodes, keys = fill_store(path)
+        with open(path / SEGMENT, "ab") as handle:
+            handle.write(_encode_record(b"not a pickle" * 20))
+        assert VerdictStore.scan(path).dead_bytes > 0
         with VerdictStore(path) as store:
-            for i in range(50):
-                store.mark_run("tok", f"run-{i}")
+            count = len(store)
             before, after = store.compact()
             assert after < before
-            assert store.runs() == [("tok", "run-49")]
-        with VerdictStore(path) as store:
-            assert store.runs() == [("tok", "run-49")]
+        report = VerdictStore.scan(path)
+        assert report.clean and report.dead_bytes == 0
+        assert report.verdicts == count
 
     def test_compact_preserves_verdicts(self, tmp_path):
         path = tmp_path / "s.db"
@@ -437,25 +370,18 @@ class TestRecovery:
         assert VerdictStore.scan(path).clean
 
 
-def _seg_label(segment):
-    """Map ``shard-003.seg`` -> ``shard 3``, ``meta.seg`` -> ``meta``."""
-    stem = segment.name[: -len(".seg")]
-    if stem == "meta":
-        return "meta"
-    return f"shard {int(stem.split('-')[1])}"
-
-
 class TestMultiWriter:
-    """The v2 headline: concurrent writers on one store, no lifetime lock."""
+    """Concurrent writers on one store, no lifetime lock."""
 
     def test_second_opener_allowed(self, tmp_path):
         path = tmp_path / "s.db"
         with VerdictStore(path) as first:
             with VerdictStore(path) as second:
-                first.mark_run("a", "one")
-                second.mark_run("b", "two")
+                first.put_report("a", "one")
+                second.put_report("b", "two")
         with VerdictStore(path) as store:
-            assert set(store.runs()) == {("a", "one"), ("b", "two")}
+            assert store.get_report("a") == "one"
+            assert store.get_report("b") == "two"
 
     def test_tail_fold_makes_concurrent_writes_visible(self, tmp_path):
         path = tmp_path / "s.db"
@@ -478,6 +404,43 @@ class TestMultiWriter:
             a.close()
             b.close()
 
+    def test_tail_poll_reads_only_new_bytes(self, tmp_path, monkeypatch):
+        """A poll parses just what another writer appended since the last
+        look; only a segment replaced by a compaction is re-read whole."""
+        import repro.engine.store as store_mod
+
+        path = tmp_path / "s.db"
+        fill_store(path)
+        parsed = []
+        parse = store_mod._parse_records
+
+        def spy(data, offset, report, sink):
+            parsed.append(len(data) - offset)
+            return parse(data, offset, report, sink)
+
+        monkeypatch.setattr(store_mod, "_parse_records", spy)
+        writer = VerdictStore(path)
+        reader = VerdictStore(path)
+        try:
+            size = writer.size()
+            writer.put_report("t1", "first")
+            writer.checkpoint()
+            appended = writer.size() - size
+            parsed.clear()
+            assert reader.get_report("t1") == "first"
+            assert parsed == [appended]
+            writer.compact()
+            writer.put_report("t2", "second")
+            writer.checkpoint()
+            size = writer.size()
+            parsed.clear()
+            assert reader.get_report("t2") == "second"
+            assert parsed == [size - _HEADER.size]
+            assert reader.get_report("t1") == "first"
+        finally:
+            writer.close()
+            reader.close()
+
     def test_concurrent_same_key_deduped_on_disk(self, tmp_path):
         path = tmp_path / "s.db"
         nodes, keys = fill_store(tmp_path / "donor.db")
@@ -497,25 +460,6 @@ class TestMultiWriter:
         report = VerdictStore.scan(path)
         assert report.clean
         assert report.verdicts == len(items)
-
-    def test_marker_visibility_across_writers(self, tmp_path):
-        path = tmp_path / "s.db"
-        a = VerdictStore(path)
-        b = VerdictStore(path)
-        try:
-            a.mark_run("tok", "analyze:x.f")
-            a.mark_run("tok", "routine:kern")
-            assert b.runs() == []  # buffered in a: invisible
-            a.checkpoint()
-            assert b.runs() == [
-                ("tok", "analyze:x.f"), ("tok", "routine:kern"),
-            ]
-            log = CheckpointLog(b, "tok")
-            assert log.prior_runs == 1
-            assert log.prior_routines == {"kern"}
-        finally:
-            a.close()
-            b.close()
 
     def test_foreign_hits_counted_in_provenance(self, tmp_path):
         path = tmp_path / "s.db"
@@ -557,7 +501,7 @@ class TestLocking:
     def test_sidecar_cleanup_on_close(self, tmp_path):
         path = tmp_path / "s.db"
         with VerdictStore(path) as store:
-            store.mark_run("t", "l")
+            store.put_report("t", "l")
         assert list(path.glob("*.lock")) == []
 
     def test_lock_survives_holder_death(self, tmp_path):
@@ -566,8 +510,8 @@ class TestLocking:
         script = (
             "import os, sys; sys.path.insert(0, sys.argv[2]); "
             "from repro.engine import VerdictStore; "
-            "s = VerdictStore(sys.argv[1]); s.mark_run('t', 'l'); "
-            "os._exit(9)"
+            "s = VerdictStore(sys.argv[1]); s.put_report('t', 'l'); "
+            "s._lock.acquire(); os._exit(9)"
         )
         result = subprocess.run(
             [sys.executable, "-c", script, str(path), SRC_DIR],
@@ -576,7 +520,8 @@ class TestLocking:
         )
         assert result.returncode == 9
         with VerdictStore(path) as store:  # stale locks must not block
-            store.mark_run("t2", "after")
+            assert store.failure is None
+            store.put_report("t2", "after")
         assert list(path.glob("*.lock")) == []  # dead sidecars tidied
 
     def test_backoff_is_exponential_with_jitter(self, tmp_path, monkeypatch):
@@ -599,95 +544,119 @@ class TestLocking:
             base = min(0.01 * (2 ** i), 0.1)
             assert base * 0.5 <= slept < base * 1.5  # jitter window
 
-    def test_lock_starvation_quarantines_shard(self, tmp_path):
+    def test_lock_starvation_at_flush_fails_the_store(
+        self, tmp_path, no_backoff
+    ):
         path = tmp_path / "s.db"
         nodes, keys = fill_store(tmp_path / "donor.db")
         with VerdictStore(tmp_path / "donor.db") as donor:
             key, entry = next(iter(donor._verdicts.items()))
-        store = VerdictStore(path, shards=2)
+        store = VerdictStore(path)
         try:
-            segment = store._segments[store._shard_of(key)]
-            blocker = _SidecarLock(segment.lock.path)
-            blocker.acquire()
+            blocker = hold_lock(path)
             try:
                 store.put(key, entry)
-                store.checkpoint()  # starves on the held lock: no raise
+                with pytest.raises(StoreLockError):
+                    store.checkpoint()
             finally:
                 blocker.release(unlink=True)
-            assert segment.quarantined
-            assert store.quarantined_shards == [segment.label]
-            events = store.drain_events()
-            assert len(events) == 1
-            assert "quarantined" in events[0][1]
-            assert store.drain_events() == []  # drained
-            # The key still serves from memory after quarantine.
+            assert isinstance(store.failure, StoreLockError)
+            with pytest.raises(StoreError, match="unusable"):
+                store.put_report("t", "after")
+            with pytest.raises(StoreError, match="unusable"):
+                store.checkpoint()
+            # The key still serves from memory.
             assert store.get(key) is entry
         finally:
-            store.close()
-        # Nothing corrupt was left on disk.
-        assert VerdictStore.scan(path).clean
+            store.close()  # a failed store closes without raising
+        # Nothing corrupt was left on disk, and nothing was written.
+        report = VerdictStore.scan(path)
+        assert report.clean and report.records == 0
 
-    def test_quarantine_surfaces_as_store_failure_record(self, tmp_path):
+    def test_lock_starvation_at_open_detaches_the_store(
+        self, tmp_path, no_backoff, capsys
+    ):
+        path = tmp_path / "s.db"
+        VerdictStore(path).close()
+        nodes = random_nest(5, depth=2, statements=3, arrays=2, ndim=2, extent=8)
+        kernel = tmp_path / "kern.f"
+        kernel.write_text(KERNEL)
+        blocker = hold_lock(path)
+        try:
+            store = VerdictStore(path)
+            assert isinstance(store.failure, StoreLockError)
+            assert not store.recovered_report.clean
+            driver = CachedDriver(store=store)
+            graph = build_dependence_graph(nodes, tester=driver)
+            store.close()
+            assert main(["analyze", str(kernel), "--store", str(path)]) == 0
+        finally:
+            blocker.release(unlink=True)
+        assert graph is not None
+        assert driver.persist is None
+        assert [r.kind for r in driver.stats.failures] == ["store"]
+        assert driver.stats.assumed == 0
+        out = capsys.readouterr().out
+        assert "fault report: 1 failure(s), 0 pair verdict(s) assumed" in out
+        assert out.count("[store]") == 1
+        assert VerdictStore.scan(path).records == 0
+
+    def test_store_failure_detaches_with_one_record(
+        self, tmp_path, no_backoff
+    ):
         path = tmp_path / "s.db"
         nodes = random_nest(5, depth=2, statements=3, arrays=2, ndim=2, extent=8)
-        store = VerdictStore(path, shards=1)
+        store = VerdictStore(path)
         try:
-            blocker = _SidecarLock(store._segments[0].lock.path)
-            blocker.acquire()
+            blocker = hold_lock(path)
             try:
                 driver = CachedDriver(store=store)
                 graph = build_dependence_graph(nodes, tester=driver)
-                store.checkpoint()
-                driver.drain_store_events()
+                driver.flush()
+                driver.flush()  # detached: nothing more to fail
             finally:
                 blocker.release(unlink=True)
             assert graph is not None
-            assert driver.persist is store  # NOT degraded wholesale
-            kinds = {record.kind for record in driver.stats.failures}
-            assert kinds == {"store"}
+            assert driver.persist is None  # memory-only from here on
+            assert [r.kind for r in driver.stats.failures] == ["store"]
             assert driver.stats.assumed == 0  # never an assumed verdict
         finally:
             store.close()
 
 
 class TestCloseDrainsFinalEvents:
-    """Events raised *during* the final checkpoint must not vanish.
+    """Failures *during* the final checkpoint must not vanish.
 
-    ``drain_store_events`` only surfaces events queued so far; a shard
-    quarantined by the close-time flush queues its event after the last
-    mid-run drain.  ``CachedDriver.close`` (and ``DependenceEngine.close``
-    above it) runs the final checkpoint itself and drains once more, so
-    the fault report covers the whole run including its last write.
+    ``CachedDriver.close`` (and ``DependenceEngine.close`` above it) runs
+    the final checkpoint through the driver's guarded flush, so the fault
+    report covers the whole run including its last write.
     """
 
-    def test_quarantine_during_final_checkpoint_is_reported(self, tmp_path):
+    def test_lock_starvation_in_final_checkpoint_is_reported(
+        self, tmp_path, no_backoff
+    ):
         path = tmp_path / "s.db"
         nodes = random_nest(5, depth=2, statements=3, arrays=2, ndim=2, extent=8)
         # A huge interval keeps every put buffered until the close-time
         # flush — the only checkpoint is the one close() itself runs.
-        store = VerdictStore(path, shards=1, checkpoint_interval=10**6)
+        store = VerdictStore(path, checkpoint_interval=10**6)
         try:
             driver = CachedDriver(store=store)
             build_dependence_graph(nodes, tester=driver)
-            driver.drain_store_events()
             assert not driver.stats.failures  # clean so far
-            # Starve the close-time flush: the quarantine event is
-            # queued during close(), after the drain above.
-            blocker = _SidecarLock(store._segments[0].lock.path)
-            blocker.acquire()
+            blocker = hold_lock(path)
             try:
                 driver.close()
             finally:
                 blocker.release(unlink=True)
-            kinds = {record.kind for record in driver.stats.failures}
-            assert kinds == {"store"}
+            assert [r.kind for r in driver.stats.failures] == ["store"]
             assert driver.stats.assumed == 0
-            assert driver.persist is store  # shard-scoped, not wholesale
+            assert driver.persist is None
         finally:
             store.close()
 
     def test_failed_final_checkpoint_degrades_with_record(self, tmp_path, monkeypatch):
-        store = VerdictStore(tmp_path / "s.db", shards=1)
+        store = VerdictStore(tmp_path / "s.db")
         driver = CachedDriver(store=store)
 
         def boom():
@@ -705,7 +674,7 @@ class TestCloseDrainsFinalEvents:
     def test_engine_close_surfaces_final_events(self, tmp_path, monkeypatch):
         from repro.engine import DependenceEngine
 
-        store = VerdictStore(tmp_path / "s.db", shards=1)
+        store = VerdictStore(tmp_path / "s.db")
         engine = DependenceEngine(store=store)
         monkeypatch.setattr(
             store, "checkpoint",
@@ -715,35 +684,6 @@ class TestCloseDrainsFinalEvents:
         assert {r.kind for r in engine.stats.failures} == {"store"}
         monkeypatch.undo()
         store.close()
-
-
-class TestCheckpointLog:
-    def test_run_token_stable_and_discriminating(self):
-        assert run_token("analyze", "src") == run_token("analyze", "src")
-        assert run_token("analyze", "src") != run_token("analyze", "src2")
-        assert run_token("a", "bc") != run_token("ab", "c")  # length-prefixed
-
-    def test_markers_and_resume_summary(self, tmp_path):
-        path = tmp_path / "s.db"
-        token = run_token("analyze", "x")
-        with VerdictStore(path) as store:
-            log = CheckpointLog(store, token)
-            assert not log.resumable
-            assert "no checkpoint" in log.resume_summary()
-            log.begin_run("analyze:x.f")
-            log.mark_routine("kern1")
-            log.mark_routine("kern2")
-        with VerdictStore(path) as store:
-            log = CheckpointLog(store, token)
-            assert log.resumable
-            assert log.prior_runs == 1
-            assert log.prior_routines == {"kern1", "kern2"}
-            summary = log.resume_summary()
-            assert "resuming" in summary
-            assert "2 routine(s)" in summary
-            # A different input's token sees none of it.
-            other = CheckpointLog(store, run_token("analyze", "y"))
-            assert not other.resumable
 
 
 class TestProvenance:
@@ -813,26 +753,10 @@ class TestStoreCli:
         assert main(["analyze", str(kernel_file), "--store", str(db), "--counts"]) == 0
         first = capsys.readouterr().out
         assert re.search(r"store: 0 hits, [1-9]\d* writes", first)
-        assert main(
-            ["analyze", str(kernel_file), "--store", str(db), "--resume", "--counts"]
-        ) == 0
+        assert main(["analyze", str(kernel_file), "--store", str(db), "--counts"]) == 0
         second = capsys.readouterr().out
-        assert "resuming:" in second
         assert re.search(r"store: [1-9]\d* hits, 0 writes", second)
         assert "0 misses" in second
-
-    def test_store_shards_flag(self, kernel_file, tmp_path):
-        db = tmp_path / "s.db"
-        assert main(
-            ["analyze", str(kernel_file), "--store", str(db),
-             "--store-shards", "3"]
-        ) == 0
-        assert VerdictStore.scan(db).shard_count == 3
-
-    def test_resume_requires_store(self, kernel_file):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", str(kernel_file), "--resume"])
-        assert excinfo.value.code == 2
 
     def test_store_rejects_no_cache(self, kernel_file, tmp_path, capsys):
         code = main(
@@ -847,11 +771,9 @@ class TestStoreCli:
         capsys.readouterr()
         assert main(["store", "info", str(db)]) == 0
         out = capsys.readouterr().out
-        assert "verdict(s)" in out
-        assert "shard 0:" in out  # per-shard breakdown
+        assert "4 verdict(s), 0 report(s)" in out
         assert "last checkpoint" in out
-        assert "last run: analyze:kern.f" in out
-        assert "routines checkpointed: 2" in out
+        assert "compaction opportunity" in out
         assert main(["store", "verify", str(db)]) == 0
         verify_out = capsys.readouterr().out
         assert "clean" in verify_out
@@ -861,8 +783,7 @@ class TestStoreCli:
     def test_verify_reports_corruption(self, kernel_file, tmp_path, capsys):
         db = tmp_path / "s.db"
         main(["analyze", str(kernel_file), "--store", str(db)])
-        segment = populated_segments(db)[0]
-        with open(segment, "ab") as handle:
+        with open(db / SEGMENT, "ab") as handle:
             handle.write(b"\x55" * 13)
         capsys.readouterr()
         assert main(["store", "verify", str(db)]) == 4
@@ -884,8 +805,7 @@ class TestStoreCli:
     def test_concurrently_open_store_analyzes_fine(
         self, kernel_file, tmp_path, capsys
     ):
-        """The v1 'locked store exits 4' behavior is gone by design: a
-        store held open by another process is simply shared."""
+        """A store held open by another process is simply shared."""
         db = tmp_path / "s.db"
         with VerdictStore(db) as other:
             code = main(["analyze", str(kernel_file), "--store", str(db)])
@@ -921,54 +841,58 @@ class TestStoreCli:
             "kern.f", "notes.txt", "tree",
         ]
 
+    def test_non_store_directory_is_refused(self, kernel_file, tmp_path, capsys):
+        """``--store`` on a source directory or on the older sharded
+        layout exits 4 and leaves every file as it was; ``store info``
+        and ``store verify`` say why."""
+        source = kernel_file.parent
+        sharded = tmp_path / "old.db"
+        sharded.mkdir()
+        for name, body in SHARDED_LAYOUT.items():
+            (sharded / name).write_bytes(body)
+        for path in (source, sharded):
+            before = listing(path)
+            assert main(["analyze", str(kernel_file), "--store", str(path)]) == 4
+            assert "not a store directory" in capsys.readouterr().err
+            for command in ("info", "verify"):
+                assert main(["store", command, str(path)]) == 4
+                out = capsys.readouterr()
+                assert "not a store directory" in out.out + out.err
+            assert listing(path) == before
+
     def test_study_store_round_trip(self, tmp_path, capsys):
         db = tmp_path / "study.db"
         args = ["study", "--table", "3", "--suite", "linpack", "--store", str(db)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        assert main(args + ["--resume"]) == 0
+        assert main(args) == 0
         second = capsys.readouterr().out
-        assert "resuming:" in second
-        assert normalize(first) in normalize(second)
+        assert second == first
         report = VerdictStore.scan(db)
         assert report.clean
         assert report.verdicts > 0
 
 
 class TestFaultInjection:
-    """The new concurrency faults: lock-hold, corrupt-shard, scoped die."""
+    """The store faults: lock-hold, corrupt-store."""
 
     def test_lock_hold_parses_and_sleeps(self, monkeypatch):
         from repro.engine import faultinject
 
-        plan = faultinject.parse_spec("lock-hold:0.5:3")
+        plan = faultinject.parse_spec("lock-hold:0.5")
         assert plan.lock_hold == 0.5
-        assert plan.lock_hold_shard == 3
-        plan = faultinject.parse_spec("lock-hold:1.5:meta")
-        assert plan.lock_hold_shard == "meta"
         sleeps = []
-        monkeypatch.setenv(faultinject.ENV_VAR, "lock-hold:2.0:1")
+        monkeypatch.setenv(faultinject.ENV_VAR, "lock-hold:2.0")
         monkeypatch.setattr(faultinject.time, "sleep", sleeps.append)
-        faultinject.on_lock_held(0)
-        assert sleeps == []  # wrong shard
-        faultinject.on_lock_held(1)
+        faultinject.on_lock_held()
         assert sleeps == [2.0]
 
-    def test_store_die_shard_scoping(self):
-        from repro.engine import faultinject
-
-        plan = faultinject.parse_spec("store-die:4:meta")
-        assert plan.store_die == 4
-        assert plan.store_die_shard == "meta"
-        plan = faultinject.parse_spec("store-die:4")
-        assert plan.store_die_shard is None
-
-    def test_corrupt_shard_injects_torn_tail(self, tmp_path, monkeypatch):
+    def test_corrupt_store_injects_torn_tail(self, tmp_path, monkeypatch):
         from repro.engine import faultinject
 
         path = tmp_path / "s.db"
-        fill_store(path, shards=2)
-        monkeypatch.setenv(faultinject.ENV_VAR, "corrupt-shard:0")
+        fill_store(path)
+        monkeypatch.setenv(faultinject.ENV_VAR, "corrupt-store")
         faultinject._PLANS.clear()
         faultinject._CORRUPTED.clear()
         with VerdictStore(path) as store:
@@ -979,21 +903,21 @@ class TestFaultInjection:
         monkeypatch.delenv(faultinject.ENV_VAR)
         assert VerdictStore.scan(path).clean
 
-    def test_corrupted_shard_never_yields_spurious_independence(
+    def test_corrupted_store_never_yields_spurious_independence(
         self, tmp_path, monkeypatch
     ):
-        """The conservative invariant under injected shard corruption:
-        dropped records are retested, never guessed."""
+        """The conservative invariant under injected corruption: dropped
+        records are retested, never guessed."""
         from repro.engine import faultinject
 
         path = tmp_path / "s.db"
-        nodes, keys = fill_store(path, shards=2)
+        nodes, keys = fill_store(path)
         with VerdictStore(path) as store:
             truth = {
                 key: store.get(key).independent
                 for key in keys if store.get(key) is not None
             }
-        monkeypatch.setenv(faultinject.ENV_VAR, "corrupt-shard:0,corrupt-shard:1")
+        monkeypatch.setenv(faultinject.ENV_VAR, "corrupt-store")
         faultinject._PLANS.clear()
         faultinject._CORRUPTED.clear()
         with VerdictStore(path) as store:
@@ -1007,7 +931,7 @@ class TestFaultInjection:
 
 
 class TestKillAndResume:
-    """The headline property: SIGKILL mid-write, reopen, byte-identical."""
+    """The headline property: SIGKILL mid-write, rerun, byte-identical."""
 
     @pytest.fixture()
     def kernel_file(self, tmp_path):
@@ -1029,28 +953,23 @@ class TestKillAndResume:
         assert VerdictStore.scan(db).verdicts > 0
 
         resumed = run_cli(
-            [
-                "analyze", str(kernel_file),
-                "--store", str(db), "--resume", "--counts",
-            ]
+            ["analyze", str(kernel_file), "--store", str(db), "--counts"]
         )
         assert resumed.returncode == 0, resumed.stderr[-2000:]
         # The dependence output must match an uninterrupted run exactly.
         body = resumed.stdout.split("test applications:")[0]
-        banner, _, rest = body.partition("\n")
-        assert "resuming" in banner or "no checkpoint" in banner
         fresh_body = fresh.stdout.split("test applications:")[0]
-        assert normalize(rest.lstrip("\n")) == normalize(fresh_body)
+        assert normalize(body) == normalize(fresh_body)
         # And at least one verdict must have come from the killed run.
         assert re.search(r"store: [1-9]\d* hits", resumed.stdout), resumed.stdout
 
     def test_killed_run_store_verifies_after_reopen(self, kernel_file, tmp_path):
         db = tmp_path / "s.db"
-        # Append 3 is routine 1's second verdict, inside its first
-        # data flush (see DIE_MID_RUN).
+        # Append 2 is routine 1's second verdict, inside its flush (see
+        # DIE_MID_RUN).
         killed = run_cli(
             ["analyze", str(kernel_file), "--store", str(db)],
-            faults="store-die:3",
+            faults="store-die:2",
         )
         assert killed.returncode == 9
         # First reopen repairs whatever tail the kill left behind...
@@ -1060,8 +979,8 @@ class TestKillAndResume:
         assert run_cli(["store", "verify", str(db)]).returncode == 0
 
     def test_two_concurrent_writers_complete(self, kernel_file, tmp_path):
-        """Two simultaneous analyze processes sharing one store both
-        succeed, and the store stays structurally clean."""
+        """Two simultaneous analyze processes creating and sharing one
+        store both succeed, and the store stays structurally clean."""
         db = tmp_path / "s.db"
         env = subprocess_env()
         env["REPRO_FAULTS"] = "lock-hold:0.05"  # widen contention windows
@@ -1089,7 +1008,7 @@ class TestKillAndResume:
     def test_two_writers_killed_then_resume_byte_identical(
         self, kernel_file, tmp_path
     ):
-        """Both concurrent writers die mid-append; a resumed run is
+        """Both concurrent writers die mid-append; a rerun is
         byte-identical and serves the survivors' verdicts."""
         db = tmp_path / "s.db"
         fresh = run_cli(["analyze", str(kernel_file), "--counts"])
@@ -1117,15 +1036,11 @@ class TestKillAndResume:
         codes = {p.returncode for p in procs}
         assert codes <= {0, 9} and 9 in codes, codes
         resumed = run_cli(
-            [
-                "analyze", str(kernel_file),
-                "--store", str(db), "--resume", "--counts",
-            ]
+            ["analyze", str(kernel_file), "--store", str(db), "--counts"]
         )
         assert resumed.returncode == 0, resumed.stderr[-2000:]
         body = resumed.stdout.split("test applications:")[0]
-        _, _, rest = body.partition("\n")
         fresh_body = fresh.stdout.split("test applications:")[0]
-        assert normalize(rest.lstrip("\n")) == normalize(fresh_body)
+        assert normalize(body) == normalize(fresh_body)
         assert re.search(r"store: [1-9]\d* hits", resumed.stdout)
         assert run_cli(["store", "verify", str(db)]).returncode == 0
