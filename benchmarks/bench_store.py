@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Persistent-store microbenchmark: write-through overhead and replay gain.
+"""Persistent-store microbenchmark: the work a store write costs, and replay.
 
 Three measurements over the bundled kernel corpus (every routine):
 
-* **memory-only cold** — the PR 1 baseline: fresh engine, LRU cache,
-  no store;
+* **memory-only cold** — fresh engine, LRU cache, no store;
 * **store cold** — the same pass with a write-through store attached:
-  the delta is the price of persistence (pickling + buffered appends +
-  an fsync'd checkpoint every ``CHECKPOINT_INTERVAL`` records);
+  the difference is the price of persistence (pickling + buffered
+  appends + an fsync'd checkpoint every ``CHECKPOINT_INTERVAL``
+  records).  One extra, untimed store-cold pass *counts* that work by
+  wrapping the calls from here (nothing in ``src/`` counts): records
+  written, checkpoints, and the flushes, lock acquisitions and fsyncs
+  behind them, plus the store's bytes per verdict;
 * **store replay** — a fresh engine (cold memory tier) reopening the
   populated store: every verdict served from disk, no test runs — the
   resumed-run fast path.
@@ -21,12 +24,13 @@ other's freshly flushed records (cross-process hits).  A tail read
 fetches only the bytes appended since the reader's last look.
 
 Results land in ``BENCH_store.json`` and are **gated**: CI feeds a
-fresh run to ``check_bench_regression.py --store`` which fails on a
-write-through overhead rise beyond tolerance or a replay hit-rate drop
-below the committed baseline (both are same-process ratios, so machine
-speed cancels out).  The store still stays out of the engine gate
-(``BENCH_engine.json``): persistence is opt-in (``--store``) and must
-not move the warm-path numbers that gate watches.
+fresh run to ``check_bench_regression.py --store``, which fails when a
+store-cold count differs from the committed baseline's, the replay hit
+rate drops below it, or the contention store stops scanning clean.
+Times (and the write-through overhead they give) are reported but not
+gated: two passes of ~0.1 s differ by more run to run than the store
+costs.  Cross-process hit counts vary with scheduling and stay
+ungated too.
 
 Usage::
 
@@ -36,6 +40,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import builtins
 import json
 import os
 import platform
@@ -51,6 +56,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.corpus.loader import default_symbols, load_corpus  # noqa: E402
 from repro.engine import DependenceEngine, VerdictStore  # noqa: E402
+from repro.engine import store as store_module  # noqa: E402
 from repro.instrument import TestRecorder  # noqa: E402
 
 #: One store-cold pass in a child process, printing its stats as JSON —
@@ -100,6 +106,76 @@ def timed(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+class _FlushCounter:
+    """A file handle whose ``flush`` calls are counted."""
+
+    def __init__(self, handle, counts):
+        self._handle = handle
+        self._counts = counts
+
+    def flush(self):
+        self._counts["flushes"] += 1
+        return self._handle.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        self._handle.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._handle.__exit__(*exc)
+
+
+def counted_store_pass(db, work, symbols):
+    """One store-cold pass into a fresh ``db`` with the store's
+    durability calls counted: every ``checkpoint`` that had records to
+    write, every lock acquisition, and every flush and fsync of a file
+    the store opened."""
+    counts = {
+        "checkpoints": 0, "flushes": 0, "lock_acquisitions": 0, "fsyncs": 0,
+    }
+    lock_class = store_module._SidecarLock
+    saved = (
+        VerdictStore.checkpoint, lock_class.acquire, os.fsync, os.fdopen,
+    )
+
+    def checkpoint(self):
+        if self._pending and self.failure is None and not self.closed:
+            counts["checkpoints"] += 1
+        return saved[0](self)
+
+    def acquire(self, *args, **kwargs):
+        counts["lock_acquisitions"] += 1
+        return saved[1](self, *args, **kwargs)
+
+    def fsync(fd):
+        counts["fsyncs"] += 1
+        return saved[2](fd)
+
+    VerdictStore.checkpoint = checkpoint
+    lock_class.acquire = acquire
+    os.fsync = fsync
+    os.fdopen = lambda *a, **k: _FlushCounter(saved[3](*a, **k), counts)
+    store_module.open = lambda *a, **k: _FlushCounter(
+        builtins.open(*a, **k), counts
+    )
+    try:
+        with VerdictStore(db) as store:
+            engine = DependenceEngine(symbols=symbols, store=store)
+            build_all(work, engine)
+            engine.close()
+    finally:
+        VerdictStore.checkpoint, lock_class.acquire, os.fsync, os.fdopen = saved
+        del store_module.open
+    scan = VerdictStore.scan(db)
+    counts["records_written"] = scan.records
+    counts["store_bytes"] = scan.size
+    counts["verdicts"] = scan.verdicts
+    return counts
 
 
 def contention_pass(db, writers):
@@ -161,10 +237,10 @@ def main(argv=None):
                 engine.close()
 
         store_cold_s = timed(store_cold, args.repeats)
-        scan = VerdictStore.scan(db)
-        size = scan.size
-        with VerdictStore(db) as store:
-            verdicts = len(store)
+        counted_db = Path(tmp) / "counted.db"
+        counts = counted_store_pass(counted_db, work, symbols)
+        size, verdicts = counts["store_bytes"], counts["verdicts"]
+        checkpoints = counts["checkpoints"]
 
         replay_stats = {}
 
@@ -216,6 +292,16 @@ def main(argv=None):
         "store_bytes": size,
         "verdicts": verdicts,
         "bytes_per_verdict": round(size / verdicts, 1) if verdicts else None,
+        "records_written": counts["records_written"],
+        "checkpoints": checkpoints,
+        "flushes": counts["flushes"],
+        "lock_acquisitions": counts["lock_acquisitions"],
+        "fsyncs": counts["fsyncs"],
+        "flushes_per_checkpoint": round(counts["flushes"] / checkpoints, 4),
+        "locks_per_checkpoint": round(
+            counts["lock_acquisitions"] / checkpoints, 4
+        ),
+        "fsyncs_per_checkpoint": round(counts["fsyncs"] / checkpoints, 4),
         "replay_store_hits": replay_stats.get("store_hits", 0),
         "replay_hit_rate": replay_hit_rate,
         "contention_writers": len(writer_stats),
@@ -231,6 +317,13 @@ def main(argv=None):
         f"replay {report['store_replay_s']}s "
         f"({report['replay_speedup']}x)  "
         f"{size} bytes for {verdicts} verdicts",
+        flush=True,
+    )
+    print(
+        f"store cold wrote {counts['records_written']} records in "
+        f"{checkpoints} checkpoints: {counts['flushes']} flushes, "
+        f"{counts['lock_acquisitions']} lock acquisitions, "
+        f"{counts['fsyncs']} fsyncs",
         flush=True,
     )
     print(

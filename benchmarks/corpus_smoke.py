@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Corpus streaming smoke gate: cold throughput, incremental no-op, compaction.
+"""Corpus streaming smoke gate: throughput, incremental no-op, compaction, memory.
 
 CI's end-to-end check that the streaming corpus driver stays fast and
 stays incremental, over a synthetic multi-file tree:
@@ -15,8 +15,14 @@ stays incremental, over a synthetic multi-file tree:
    that file's routines and nothing else, and the output must be
    byte-identical to a cold run over the edited tree;
 4. **compact** — ``store compact`` must shrink the store measurably
-   (delta-compressed report groups), and a post-compaction run
-   must still skip everything with byte-identical output.
+   (report records deflated in groups), and a post-compaction run
+   must still skip everything with byte-identical output;
+5. **memory** — ``corpus run`` without a store over seeded trees of
+   100, 200 and 400 files of 5 routines each, in one process (the child
+   patches ``corpus.stream.usable_cpus`` to return 1, so no worker pool
+   starts), must peak (``VmHWM``) on the 400-file tree within
+   :data:`MAX_RSS_GROWTH` of its peak on the 100-file tree: memory
+   follows the routine being analyzed, not the length of the walk.
 
 Exits non-zero on any violation.
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -41,18 +48,70 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.corpus.generator import synthesize_corpus_tree  # noqa: E402
 
+#: ``corpus run`` in one process (no worker pool), printing the
+#: process's peak resident set (``VmHWM``, KiB) on stderr at exit.
+IN_PROCESS_RUN = """
+import sys
+from repro.corpus import stream
+stream.usable_cpus = lambda: 1
+from repro.cli import main
+code = main(["corpus", "run", sys.argv[1]])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(f"vmhwm_kb={peak}", file=sys.stderr)
+sys.exit(code)
+"""
 
-def run_cli(args, timeout=600):
+#: Tree sizes (files of ``MEMORY_ROUTINES`` routines) of the memory step,
+#: and how far the largest tree's peak RSS may exceed the smallest's.
+MEMORY_FILES = (100, 200, 400)
+MEMORY_ROUTINES = 5
+MAX_RSS_GROWTH = 0.10
+
+
+def run_cli(args, timeout=600, code=None):
+    """Run the CLI (or, with ``code``, ``python -c code args``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_FAULTS", None)
+    head = ["-c", code] if code else ["-m", "repro"]
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *head, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=timeout,
     )
+
+
+def memory_step(tmp: Path) -> bool:
+    """Peak RSS of in-process ``corpus run`` must stay flat as the tree
+    grows; returns whether it did."""
+    peaks = []
+    for files in MEMORY_FILES:
+        tree = tmp / f"mem{files}"
+        synthesize_corpus_tree(
+            tree, files=files, routines_per_file=MEMORY_ROUTINES, seed=1
+        )
+        run = run_cli([str(tree)], code=IN_PROCESS_RUN)
+        peak = counter(run.stderr, "vmhwm_kb")
+        if run.returncode != 0 or peak is None or "workers=0" not in run.stderr:
+            print(f"FAIL: in-process corpus run over {files} files failed:\n"
+                  f"{run.stderr[-2000:]}", file=sys.stderr)
+            return False
+        peaks.append(peak / 1024)
+        shutil.rmtree(tree)
+    growth = peaks[-1] / peaks[0] - 1
+    print("memory: in-process peak RSS "
+          + ", ".join(f"{mib:.1f}" for mib in peaks)
+          + f" MiB over {', '.join(map(str, MEMORY_FILES))} files "
+          f"({growth:+.1%} from the smallest tree)")
+    if growth > MAX_RSS_GROWTH:
+        print(f"FAIL: peak RSS grew {growth:.1%} from {MEMORY_FILES[0]} to "
+              f"{MEMORY_FILES[-1]} files, ceiling {MAX_RSS_GROWTH:.0%}",
+              file=sys.stderr)
+        return False
+    return True
 
 
 def counter(stderr, name):
@@ -160,6 +219,10 @@ def main(argv=None):
                   file=sys.stderr)
             return 1
         print("post-compaction replay skipped 100%, byte-identical")
+
+        # -- memory ---------------------------------------------------
+        if not memory_step(Path(tmp)):
+            return 1
 
     print("OK: corpus streaming smoke gates hold")
     return 0

@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.ir.context import LoopContext, SymbolEnv, cached_loop_context
 from repro.ir.expr import Expr, to_linear
 from repro.ir.loop import AccessSite, Loop, common_loops
+from repro.memo import routine_memo
 from repro.symbolic.linexpr import (
     LinearExpr,
     NonlinearExpressionError,
@@ -123,8 +124,6 @@ class PairContext:
                 shared[idx] = self._src_ctx.index_range(idx)
             for idx in self._sink_ctx.indices:
                 shared[prime(idx)] = self._sink_ctx.index_range(idx)
-            if len(_SHARED_RANGES) > 4096:
-                _SHARED_RANGES.clear()
             _SHARED_RANGES[cache_key] = shared
         return shared
 
@@ -257,9 +256,11 @@ class PairContext:
 
 #: Shared, read-only range maps keyed by (source, sink) loop-context
 #: identity.  ``PairContext`` instances never write to their ``_ranges``
-#: (``tightened`` copies first), so sharing is safe; bounded and cleared
-#: wholesale like the loop-context cache.
-_SHARED_RANGES: Dict[Tuple[LoopContext, LoopContext], Dict[str, Interval]] = {}
+#: (``tightened`` copies first), so sharing is safe; one graph build's
+#: worth, like the loop-context cache (see :mod:`repro.memo`).
+_SHARED_RANGES: Dict[Tuple[LoopContext, LoopContext], Dict[str, Interval]] = (
+    routine_memo()
+)
 
 #: Value-keyed linearization memo.  Expression trees are immutable and hash
 #: by value, so structurally equal subscripts (ubiquitous across the pairs

@@ -223,8 +223,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     corpus_run.add_argument(
         "--compact", action="store_true",
-        help="compact the store after the walk (delta-compresses "
-        "near-identical report records)",
+        help="compact the store after the walk (deflates report "
+        "records in groups)",
     )
 
     store = sub.add_parser(

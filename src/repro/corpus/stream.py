@@ -65,9 +65,13 @@ walk analyzes them in spawned worker processes
   failures and records — is dropped.
 * **Memory** — files are read a bounded window ahead of the one being
   printed and sent :data:`POOL_BATCH` to a task; results print in walk
-  order, so the tree's results are never buffered.  A worker peaks
-  at 45-50 MiB; ``--max-rss-mb`` applies to every process: workers shed
-  their own caches too.
+  order, so the tree's results are never buffered.  A worker's memory
+  follows the routine it analyzes, not the length of its share of the
+  walk (the memos keyed by a routine's objects end with its graph
+  build, see :mod:`repro.memo`): on the benchmark's seed-1 idiom
+  trees of 739 and 1,439 files a worker peaks at 26-27 MiB.
+  ``--max-rss-mb`` applies to every process: workers shed their own
+  caches too.
 * **Counters** — each worker caches separately, so the verdict
   provenance line sums their caches and counts more pairs ``tested``
   than an in-process run; the report text is the same.  A tracer that

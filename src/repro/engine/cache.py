@@ -4,7 +4,10 @@
 :func:`~repro.graph.depgraph.build_dependence_graph`: it matches the
 signature of :func:`~repro.core.driver.test_dependence` but memoizes
 verdicts by canonical pair key, so the thousands of structurally identical
-reference pairs of a corpus run share one test each.
+reference pairs of a corpus run share one test each.  Only verdicts are
+kept between graph builds: each pair's context, rename map and key are
+built afresh (:meth:`CachedDriver.prepare`), so nothing the driver holds
+pins a finished routine's IR.
 
 Recorder parity is exact: every miss runs the real driver against a
 private :class:`~repro.instrument.TestRecorder` and stores the counter
@@ -66,19 +69,6 @@ from repro.ir.loop import AccessSite
 #: Default number of canonical entries kept; the whole kernel corpus needs
 #: a few hundred, so the default effectively never evicts in practice.
 DEFAULT_CAPACITY = 65536
-
-#: Prepared-pair memo bound (cleared wholesale past this — entries are
-#: cheap to rebuild and the memo only pays off within/between passes over
-#: the same bodies).
-PREPARE_MEMO_LIMIT = 1 << 15
-
-#: Module-level (process-wide) prepared-pair memo, shared by every driver
-#: like the expression and loop-context interning pools: contexts and
-#: canonical keys are pure functions of the underlying IR objects, so
-#: engines analyzing the same bodies share them even though each keeps
-#: its own verdict cache.  Values hold the IR objects alive, so ids in
-#: keys cannot be recycled while an entry is resident.
-_PAIR_MEMO: Dict[Tuple, Tuple[PairContext, Dict[str, str], CanonicalKey]] = {}
 
 
 class CachedDriver:
@@ -184,17 +174,15 @@ class CachedDriver:
         self._entries.clear()
 
     def shed_memory(self) -> int:
-        """Drop every in-memory tier under memory pressure; returns count.
+        """Drop the LRU verdict tier under memory pressure; returns count.
 
         The corpus streaming driver calls this when its RSS watermark
-        trips: the LRU verdict tier and the process-wide prepared-pair
-        memo both rebuild lazily (or re-read from the persistent
+        trips: verdicts rebuild lazily (or re-read from the persistent
         store), so shedding trades warm-cache speed for bounded memory
         without changing any verdict.
         """
-        shed = len(self._entries) + len(_PAIR_MEMO)
+        shed = len(self._entries)
         self._entries.clear()
-        _PAIR_MEMO.clear()
         return shed
 
     def flush(self) -> None:
@@ -238,33 +226,14 @@ class CachedDriver:
     ) -> Tuple[PairContext, Dict[str, str], CanonicalKey]:
         """Build the context, rename map, and canonical key for one pair.
 
-        Memoized process-wide by the identity of the pair's underlying IR
-        objects (reference, statement, environment):
-        ``collect_access_sites`` wraps the same immutable tree in fresh
-        :class:`AccessSite` objects on every walk, so a driver re-analyzing
-        a body — the steady state of a transformation pipeline — would
-        otherwise rebuild every context and key from scratch each pass.
+        Built afresh on every call: the verdict cache hits by canonical
+        key, and the loop contexts and rename maps underneath are shared
+        across one graph build's pairs (see :mod:`repro.memo`).
         """
         env = symbols if symbols is not None else self.symbols
-        memo_key = (
-            id(src_site.ref),
-            id(src_site.stmt),
-            src_site.is_write,
-            id(sink_site.ref),
-            id(sink_site.stmt),
-            sink_site.is_write,
-            id(env),
-        )
-        cached = _PAIR_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
         context = PairContext(src_site, sink_site, env)
         mapping = rename_map(context)
-        value = (context, mapping, canonical_pair_key(context, mapping))
-        if len(_PAIR_MEMO) >= PREPARE_MEMO_LIMIT:
-            _PAIR_MEMO.clear()
-        _PAIR_MEMO[memo_key] = value
-        return value
+        return context, mapping, canonical_pair_key(context, mapping)
 
     def resolve(
         self,

@@ -36,6 +36,7 @@ from repro.dirvec.direction import IndexConstraint
 from repro.dirvec.vectors import Coupling, DependenceInfo, DirectionVector
 from repro.instrument import TestRecorder
 from repro.ir.context import LoopContext
+from repro.memo import routine_memo
 from repro.single.outcome import TestOutcome
 from repro.symbolic.linexpr import CachedRenamer, LinearExpr, cached_renamer
 
@@ -66,13 +67,15 @@ def _canon_name(table: Tuple[str, ...], prefix: str, n: int) -> str:
 #: function of the two stacks (their indices and longest common prefix),
 #: and contexts are interned by ``cached_loop_context``, so all the pairs
 #: over one stack combination share one map object.  Never mutated after
-#: construction.  Bounded and cleared wholesale like the other caches.
-_RENAME_MAPS: Dict[Tuple[LoopContext, LoopContext], Dict[str, str]] = {}
-_RENAME_MAPS_LIMIT = 1 << 12
+#: construction.  Lasts one graph build, like the contexts it is keyed
+#: by (see :mod:`repro.memo`).
+_RENAME_MAPS: Dict[Tuple[LoopContext, LoopContext], Dict[str, str]] = (
+    routine_memo()
+)
 
 #: Inverse (canonical → original) maps by rename-map identity; the value
 #: holds the forward map so its id stays stable while the entry lives.
-_INVERSE_MAPS: Dict[int, Tuple[Dict[str, str], Dict[str, str]]] = {}
+_INVERSE_MAPS: Dict[int, Tuple[Dict[str, str], Dict[str, str]]] = routine_memo()
 
 
 def rename_map(context: PairContext) -> Dict[str, str]:
@@ -103,8 +106,6 @@ def rename_map(context: PairContext) -> Dict[str, str]:
         # the name outside any enclosing loop on it) resolves to the sink
         # loop only when no source loop claims the name.
         mapping.setdefault(loop.index, canon)
-    if len(_RENAME_MAPS) >= _RENAME_MAPS_LIMIT:
-        _RENAME_MAPS.clear()
     _RENAME_MAPS[memo_key] = mapping
     return mapping
 
@@ -254,8 +255,6 @@ def rehydrate_result(
         inverse = cached[1]
     else:
         inverse = {canon: name for name, canon in mapping.items()}
-        if len(_INVERSE_MAPS) >= _RENAME_MAPS_LIMIT:
-            _INVERSE_MAPS.clear()
         _INVERSE_MAPS[id(mapping)] = (mapping, inverse)
     renamer = cached_renamer(inverse)
     return DependenceResult(

@@ -63,9 +63,8 @@ verdicts (``v``) serve the corpus streaming driver
   the record's presence is the routine-completion marker and its
   payload replays the output byte-identically.  Like verdicts, reports
   for degraded (assumed) analyses are never persisted.
-* ``g`` is a *compaction group*: several near-identical record
-  payloads delta-compressed against a shared base (the groupcompress
-  idiom) and deflated as one frame.  :meth:`VerdictStore.compact`
+* ``g`` is a *compaction group*: several record payloads pickled as
+  one list and deflated as one frame.  :meth:`VerdictStore.compact`
   groups report payloads this way; :func:`_parse_records` expands
   groups transparently, so folds, polls, scans, and verifies all see
   the member records as if they were written plain.
@@ -100,8 +99,9 @@ MAGIC = b"RVS1"
 #: Schema version of the pickled payloads.  Bump whenever CacheEntry,
 #: the record kinds, or the canonical-key layout changes shape; an
 #: on-disk mismatch rebuilds the segment instead of deserializing stale
-#: data.  Version 3 is the one-segment store without run markers.
-SCHEMA_VERSION = 3
+#: data.  Version 4 is the one-segment store whose compaction groups
+#: are plain zlib'd payload lists.
+SCHEMA_VERSION = 4
 
 #: The segment's file name inside a store directory.
 SEGMENT = "store.seg"
@@ -128,7 +128,7 @@ LOCK_BACKOFF_CAP = 0.5
 
 #: Members per compaction group.  Bounds the decode cost of one frame
 #: (a torn group loses at most this many records) while still letting
-#: the shared-base delta + deflate amortize across many payloads.
+#: deflate amortize across many payloads.
 GROUP_SIZE = 64
 
 #: zlib level for compaction groups: 6 is the speed/size knee.
@@ -318,54 +318,18 @@ def _is_store_dir(path: Path) -> bool:
     )
 
 
-# -- compaction groups (groupcompress idiom) --------------------------------
-
-
-def _delta_encode(base: bytes, text: bytes) -> Tuple[int, int, bytes]:
-    """Encode ``text`` against ``base`` as (prefix, suffix, middle).
-
-    Near-identical pickled payloads (reports for structurally similar
-    routines) share long prefixes and suffixes with the group's base;
-    storing only the differing middle is the cheap core of the
-    groupcompress idiom — no suffix trees needed for payloads this
-    regular.
-    """
-    limit = min(len(base), len(text))
-    prefix = 0
-    while prefix < limit and base[prefix] == text[prefix]:
-        prefix += 1
-    suffix = 0
-    limit -= prefix
-    while (
-        suffix < limit and base[-1 - suffix] == text[-1 - suffix]
-    ):
-        suffix += 1
-    return prefix, suffix, text[prefix:len(text) - suffix]
-
-
-def _delta_decode(base: bytes, delta: Tuple[int, int, bytes]) -> bytes:
-    prefix, suffix, middle = delta
-    tail = base[len(base) - suffix:] if suffix else b""
-    return base[:prefix] + middle + tail
+# -- compaction groups -------------------------------------------------------
 
 
 def _encode_group(payloads: List[bytes]) -> bytes:
-    """Pickle several record payloads as one ``("g", blob)`` record.
-
-    The first payload is stored verbatim as the group base; the rest are
-    prefix/suffix deltas against it.  The whole structure is deflated,
-    so shared middles compress too.
-    """
-    base = payloads[0]
-    group = [base] + [_delta_encode(base, p) for p in payloads[1:]]
-    blob = zlib.compress(pickle.dumps(group, protocol=4), GROUP_ZLIB_LEVEL)
+    """Pickle several record payloads as one ``("g", blob)`` record,
+    the blob being the deflated pickle of the payload list."""
+    blob = zlib.compress(pickle.dumps(payloads, protocol=4), GROUP_ZLIB_LEVEL)
     return pickle.dumps(("g", blob), protocol=4)
 
 
 def _decode_group(record: Tuple) -> List[bytes]:
-    group = pickle.loads(zlib.decompress(record[1]))
-    base = group[0]
-    return [base] + [_delta_decode(base, d) for d in group[1:]]
+    return pickle.loads(zlib.decompress(record[1]))
 
 
 def _parse_records(data: bytes, offset: int, report: StoreReport, sink) -> int:
@@ -974,11 +938,11 @@ class VerdictStore:
 
         Verdicts rewrite as plain records (the hot replay path stays
         cheap to poll); report documents, near-identical pickles, are
-        grouped :data:`GROUP_SIZE` at a time and delta-compressed
-        against a shared base (``g`` records, the groupcompress idiom),
-        which is what keeps a corpus-scale store small.  The rewrite
-        happens under the lock via temp file + atomic rename, so a crash
-        mid-compaction leaves the old segment intact.
+        grouped :data:`GROUP_SIZE` at a time and deflated together
+        (``g`` records), which is what keeps a corpus-scale store
+        small.  The rewrite happens under the lock via temp file +
+        atomic rename, so a crash mid-compaction leaves the old segment
+        intact.
         """
         self._check_writable()
         self.checkpoint()

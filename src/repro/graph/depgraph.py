@@ -33,6 +33,7 @@ from repro.dirvec.vectors import (
 from repro.instrument import TestRecorder
 from repro.ir.context import SymbolEnv
 from repro.ir.loop import AccessSite, Loop, Node, collect_access_sites
+from repro.memo import release_routine_memos
 
 
 class DependenceType(Enum):
@@ -246,23 +247,30 @@ def build_dependence_graph(
     :class:`~repro.engine.profile.PhaseProfile` charged with the time
     spent expanding results into typed edges (the ``edge-build`` phase;
     the tester accounts for its own phases).
+
+    The memos keyed by this build's loop stacks are emptied when it
+    returns (see :mod:`repro.memo`), so nothing outside the returned
+    graph keeps the routine's IR alive.
     """
     sites = collect_access_sites(nodes)
     edges: List[DependenceEdge] = []
     tested = 0
     independent = 0
-    for first, second in iter_candidate_pairs(sites, include_input):
-        tested += 1
-        result = tester(first, second, symbols=symbols, recorder=recorder)
-        if result.independent:
-            independent += 1
-            continue
-        if profile is None:
-            edges.extend(edges_from_result(first, second, result))
-        else:
-            start = perf_counter()
-            edges.extend(edges_from_result(first, second, result))
-            profile.add_phase("edge-build", perf_counter() - start)
+    try:
+        for first, second in iter_candidate_pairs(sites, include_input):
+            tested += 1
+            result = tester(first, second, symbols=symbols, recorder=recorder)
+            if result.independent:
+                independent += 1
+                continue
+            if profile is None:
+                edges.extend(edges_from_result(first, second, result))
+            else:
+                start = perf_counter()
+                edges.extend(edges_from_result(first, second, result))
+                profile.add_phase("edge-build", perf_counter() - start)
+    finally:
+        release_routine_memos()
     return DependenceGraph(sites, edges, independent, tested, recorder)
 
 

@@ -19,6 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.ir.expr import to_linear
 from repro.ir.loop import Loop
+from repro.memo import routine_memo
 from repro.symbolic.linexpr import LinearExpr, NonlinearExpressionError
 from repro.symbolic.ranges import Interval, NEG_INF, POS_INF
 
@@ -166,7 +167,9 @@ def _linear_or_none(expr) -> Optional[LinearExpr]:
         return None
 
 
-_CONTEXT_CACHE: Dict[Tuple[Tuple[int, ...], int], LoopContext] = {}
+#: Loop contexts by loop-stack identity; one graph build's worth (see
+#: :mod:`repro.memo`).  Values hold the loops, so ids in keys stay live.
+_CONTEXT_CACHE: Dict[Tuple[Tuple[int, ...], int], LoopContext] = routine_memo()
 
 
 def cached_loop_context(
@@ -177,14 +180,12 @@ def cached_loop_context(
     Dependence testing builds a context per reference pair, but the pairs
     of one routine share a handful of loop stacks; caching by loop-object
     identity (stacks are stable tuples of the parsed IR) makes whole-corpus
-    analysis noticeably faster.  The cache is bounded and cleared wholesale
-    when full — contexts are cheap to rebuild.
+    analysis noticeably faster.  The cache empties when a graph build
+    returns.
     """
     key = (tuple(id(loop) for loop in loops), id(symbols))
     context = _CONTEXT_CACHE.get(key)
     if context is None:
-        if len(_CONTEXT_CACHE) > 4096:
-            _CONTEXT_CACHE.clear()
         context = LoopContext(loops, symbols)
         _CONTEXT_CACHE[key] = context
     return context

@@ -80,9 +80,8 @@ class Assign(Stmt):
 
     @property
     def reads(self) -> Tuple[Ref, ...]:
-        # Cached on first access: the view is pure derived data, and stable
-        # reference identity lets the engine's prepared-pair memo recognize
-        # a statement across repeated walks of the same tree.
+        # Cached on first access: the view is pure derived data, built
+        # once per statement however often the tree is walked.
         cached = getattr(self, "_reads", None)
         if cached is not None:
             return cached

@@ -22,6 +22,7 @@ from repro.classify.subscript import SubscriptKind, classify
 from repro.graph.depgraph import iter_candidate_pairs
 from repro.ir.context import SymbolEnv
 from repro.ir.program import Program
+from repro.memo import release_routine_memos
 
 
 @dataclass
@@ -93,6 +94,8 @@ def collect_program_stats(
                         stats.coupled_kind_counts[kind] += 1
                 if not partition.is_separable:
                     stats.coupled_group_sizes[len(partition.pairs)] += 1
+        # Classifying builds pair contexts outside any graph build.
+        release_routine_memos()
     return stats
 
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
+from repro.memo import routine_memo
+
 Number = int
 ExprLike = Union["LinearExpr", int, str]
 
@@ -440,17 +442,16 @@ class CachedRenamer:
 
 #: Renamer instances by mapping identity.  Callers that intern their rename
 #: maps (the canonical-key machinery does) get the sorted map key for free
-#: on repeat calls; the stored mapping reference keeps the id stable.
-_RENAMER_MEMO: Dict[int, CachedRenamer] = {}
-_RENAMER_MEMO_LIMIT = 1 << 12
+#: on repeat calls; the stored mapping reference keeps the id stable.  The
+#: maps belong to one routine's loop stacks, so the memo lasts one graph
+#: build (see :mod:`repro.memo`).
+_RENAMER_MEMO: Dict[int, CachedRenamer] = routine_memo()
 
 
 def cached_renamer(mapping: Mapping[str, str]) -> CachedRenamer:
     """A memoizing renamer for ``mapping`` (see :class:`CachedRenamer`)."""
     renamer = _RENAMER_MEMO.get(id(mapping))
     if renamer is None or renamer.mapping is not mapping:
-        if len(_RENAMER_MEMO) >= _RENAMER_MEMO_LIMIT:
-            _RENAMER_MEMO.clear()
         renamer = CachedRenamer(mapping)
         _RENAMER_MEMO[id(mapping)] = renamer
     return renamer

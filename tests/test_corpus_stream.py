@@ -334,7 +334,7 @@ class TestReportRecords:
                 store.put_report(token, text)
         with VerdictStore(path) as store:
             before, after = store.compact()
-            assert before > after  # delta groups shrink it
+            assert before > after  # deflated groups shrink it
         with VerdictStore(path) as store:
             assert store.report_count == len(texts)
             for token, text in texts.items():

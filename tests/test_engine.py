@@ -7,6 +7,9 @@ coarse as the driver's observable inputs — sharing across alpha-renamed
 twins, never across pairs that differ in bounds, symbols, or orientation.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,11 +18,11 @@ from repro.core.driver import test_dependence
 from repro.corpus.loader import default_symbols, load_corpus
 from repro.engine import CachedDriver, DependenceEngine, EngineStats
 from repro.engine.canonical import canonical_pair_key, rename_map
-from repro.fortran.parser import parse_fragment
+from repro.fortran.parser import parse_fragment, parse_program
 from repro.graph.depgraph import build_dependence_graph, iter_candidate_pairs
 from repro.instrument import TestRecorder
 from repro.ir.context import SymbolEnv
-from repro.ir.loop import collect_access_sites
+from repro.ir.loop import Loop, collect_access_sites
 
 
 def graph_signature(graph):
@@ -317,3 +320,32 @@ class TestProfiling:
     def test_profile_off_by_default(self):
         engine = DependenceEngine(symbols=default_symbols())
         assert engine.profile is None
+
+
+class TestMemoryFollowsTheRoutine:
+    PROGRAM = """
+      subroutine wave(a, b, n)
+      real a(100, 100), b(100)
+      do 10 i = 2, n
+         do 10 j = 2, n
+            a(i, j) = a(i-1, j) + a(i, j-1)
+            b(j) = b(j-1) + a(i, j)
+ 10   continue
+      end
+"""
+
+    def test_routine_ir_is_freed_once_its_graph_is_dropped(self):
+        """Nothing the engine keeps between builds (its verdict cache,
+        the process-wide memos) pins a finished routine's IR."""
+        engine = DependenceEngine(symbols=default_symbols())
+        program = parse_program(self.PROGRAM, name="prog")
+        routine = program.routines[0]
+        graph = engine.build_graph(routine.body, recorder=TestRecorder())
+        assert graph.tested_pairs and graph.edges
+        outer = weakref.ref(
+            next(node for node in routine.body if isinstance(node, Loop))
+        )
+        del graph, routine, program
+        gc.collect()
+        assert outer() is None
+        assert len(engine.driver) > 0  # the verdicts outlive the routine
