@@ -89,9 +89,6 @@ class PairContext:
         self.common_indices: Tuple[str, ...] = tuple(l.index for l in self.common)
         self._src_ctx = cached_loop_context(src_site.loops, self.symbols)
         self._sink_ctx = cached_loop_context(sink_site.loops, self.symbols)
-        self._prime_map: Dict[str, str] = {
-            idx: prime(idx) for idx in self._sink_ctx.indices
-        }
         self.subscripts: List[SubscriptPair] = self._build_subscripts()
         self._ranges: Dict[str, Interval] = self._build_ranges()
 
@@ -100,7 +97,7 @@ class PairContext:
     def _build_subscripts(self) -> List[SubscriptPair]:
         src_ref = self.src_site.ref
         sink_ref = self.sink_site.ref
-        primer = cached_renamer(self._prime_map)
+        primer = cached_renamer(_prime_map(self._sink_ctx))
         pairs: List[SubscriptPair] = []
         for position, (s_raw, t_raw) in enumerate(
             zip(src_ref.subscripts, sink_ref.subscripts)
@@ -261,6 +258,21 @@ class PairContext:
 _SHARED_RANGES: Dict[Tuple[LoopContext, LoopContext], Dict[str, Interval]] = (
     routine_memo()
 )
+
+#: The sink-priming map of each sink loop context, one per context so that
+#: ``cached_renamer`` (keyed by map identity) hits across the context's
+#: pairs; one graph build's worth, like ``_SHARED_RANGES``.
+_PRIME_MAPS: Dict[LoopContext, Dict[str, str]] = routine_memo()
+
+
+def _prime_map(sink_ctx: LoopContext) -> Dict[str, str]:
+    """``{i: i'}`` over the sink context's indices, shared per context."""
+    mapping = _PRIME_MAPS.get(sink_ctx)
+    if mapping is None:
+        mapping = {idx: prime(idx) for idx in sink_ctx.indices}
+        _PRIME_MAPS[sink_ctx] = mapping
+    return mapping
+
 
 #: Value-keyed linearization memo.  Expression trees are immutable and hash
 #: by value, so structurally equal subscripts (ubiquitous across the pairs

@@ -119,12 +119,14 @@ CORPUS_SUFFIXES = (".f", ".f77", ".for")
 
 #: Pending source bytes per pool worker.  Measured on a 2-vCPU VM over
 #: prefixes of the end-to-end benchmark's seed-1 idiom tree (median of 7
-#: alternating fresh-process runs each): in-process analysis costs 4-6 us
-#: per source byte and a spawned pool takes 0.3-0.4 s from creation to
-#: its first result, so two workers lost at 128 KB of pending source
-#: (+13% wall) and won from 192 KB (-9%, -17% at 256 KB, -39% on the
-#: whole 600 KB tree).  Two workers therefore need 256 KB.
-POOL_MIN_BYTES = 128 * 1024
+#: or 9 alternating fresh-process runs per size, pooled against
+#: in-process): in-process analysis costs ~3 us per further source byte
+#: and a spawned pool takes 0.3-0.4 s from creation to its first result,
+#: so two workers lost at 256 KB of pending source (+10% and +21% wall in
+#: two series), came out even to -13% at 320-384 KB, and won from 448 KB
+#: (-9% to -19%, -26% on the whole 614 KB tree).  Two workers therefore
+#: need 384 KB.
+POOL_MIN_BYTES = 192 * 1024
 
 #: Files per pool task (amortizes the per-task round trip).
 POOL_BATCH = 4

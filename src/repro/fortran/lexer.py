@@ -1,40 +1,60 @@
 """Tokenizer for the Fortran-subset expression and statement grammar.
 
-The front end works line-by-line: :func:`preprocess` strips comments and
+The front end works line by line: :func:`preprocess` strips comments and
 joins continuation lines, and :func:`tokenize` turns one logical line into a
-token list.  Identifiers are lowercased (Fortran is case-insensitive).
+token list.  The parser lexes each logical line exactly once.
+
+:func:`tokenize` is one ``finditer`` pass of :data:`TOKEN_RE`.  Every
+alternative of the pattern swallows the blanks before its token, and the
+last one, ``BAD``, takes any other non-blank character, so consecutive
+matches tile the line up to trailing blanks: a match is either a token or
+the first character outside the subset, reported as a
+:class:`FortranSyntaxError` at its line and column.  Identifiers are
+lowercased (Fortran is case-insensitive); dot-operators match in lower
+case only; character constants (``'...'`` or ``"..."``, a doubled quote
+standing for one) are ``STRING`` tokens kept verbatim, so statements the
+parser skips (``WRITE``, ``FORMAT``, ``CALL`` ...) may carry them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.fortran.errors import FortranSyntaxError
 
+#: One token, with the blanks before it.  The alternatives are tried in
+#: order, most frequent first; only three orders matter: ``REAL`` before
+#: ``INT``, ``POW`` before ``OP``, and ``OP`` before ``RELOP``, so ``/=``
+#: and ``==`` lex as two ``OP`` tokens.  ``BAD`` must come last.
 TOKEN_RE = re.compile(
     r"""
-    (?P<REAL>\d+\.\d*([eEdD][+-]?\d+)?|\.\d+([eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
-  | (?P<INT>\d+)
-  | (?P<DOTOP>\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.)
-  | (?P<IDENT>[A-Za-z][A-Za-z0-9_$]*)
-  | (?P<POW>\*\*)
-  | (?P<OP>[-+*/(),=:])
-  | (?P<RELOP><=|>=|==|/=|<|>)
-  | (?P<WS>\s+)
+    \s*(?:
+      (?P<IDENT>[A-Za-z][A-Za-z0-9_$]*)
+    | (?P<POW>\*\*)
+    | (?P<OP>[-+*/(),=:])
+    | (?P<REAL>\d+\.\d*(?:[eEdD][+-]?\d+)?|\.\d+(?:[eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
+    | (?P<INT>\d+)
+    | (?P<DOTOP>\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.)
+    | (?P<RELOP><=|>=|==|/=|<|>)
+    | (?P<STRING>'(?:[^']|'')*'|"(?:[^"]|"")*")
+    | (?P<BAD>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """One lexical token: a ``kind`` tag, its source text, and its column.
 
     ``column`` is the 1-based position in the logical line (0 when the
     token was built synthetically); it only feeds diagnostics, so it does
-    not participate in token equality.
+    not participate in token equality.  Not frozen, because a frozen
+    dataclass sets each field through ``object.__setattr__``, which is
+    slow on this hot path.
     """
 
     kind: str
@@ -52,26 +72,21 @@ def tokenize(line: str, line_number: int = 0) -> List[Token]:
     pointing at the offending line and column.
     """
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(line):
-        match = TOKEN_RE.match(line, pos)
-        if match is None:
+    append = tokens.append
+    for match in TOKEN_RE.finditer(line):
+        kind = match.lastgroup
+        if kind == "IDENT":
+            append(Token(kind, match.group(kind).lower(), match.start(kind) + 1))
+        elif kind == "BAD":
+            column = match.start(kind)
             raise FortranSyntaxError(
-                f"unexpected character {line[pos]!r}",
+                f"unexpected character {line[column]!r}",
                 line_number,
                 line,
-                column=pos + 1,
+                column=column + 1,
             )
-        kind = match.lastgroup or ""
-        text = match.group()
-        column = match.start() + 1
-        if kind == "IDENT":
-            tokens.append(Token("IDENT", text.lower(), column))
-        elif kind == "DOTOP":
-            tokens.append(Token("DOTOP", text.lower(), column))
-        elif kind != "WS":
-            tokens.append(Token(kind, text, column))
-        pos = match.end()
+        else:
+            append(Token(kind, match.group(kind), match.start(kind) + 1))
     return tokens
 
 
@@ -110,13 +125,13 @@ def preprocess(source: str) -> List[LogicalLine]:
             pending = None
         expect_continuation = False
 
-    for number, raw in enumerate(source.splitlines(), start=1):
-        if _COMMENT_LINE.match(raw):
+    for number, line in enumerate(source.splitlines(), start=1):
+        if _COMMENT_LINE.match(line):
             continue
-        line = raw.rstrip("\n")
-        bang = _find_comment(line)
-        if bang is not None:
-            line = line[:bang]
+        if "!" in line:
+            bang = _find_comment(line)
+            if bang is not None:
+                line = line[:bang]
         if not line.strip():
             continue
         # Fixed-form continuation: columns 1-5 blank and a conventional
@@ -154,11 +169,18 @@ def preprocess(source: str) -> List[LogicalLine]:
 
 
 def _find_comment(line: str) -> Optional[int]:
-    """Index of an inline ``!`` comment, ignoring any inside strings."""
-    in_string = False
+    """Index of an inline ``!`` comment, ignoring any inside strings.
+
+    A string runs from a ``'`` or ``"`` to the next quote of the same kind
+    (a doubled quote closes and reopens it, which comes to the same).
+    """
+    quote = ""
     for idx, char in enumerate(line):
-        if char == "'":
-            in_string = not in_string
-        elif char == "!" and not in_string:
+        if quote:
+            if char == quote:
+                quote = ""
+        elif char == "'" or char == '"':
+            quote = char
+        elif char == "!":
             return idx
     return None

@@ -68,14 +68,24 @@ _SKIPPED_SINGLE = frozenset({"continue", "return", "stop", "cycle", "exit"})
 
 
 class _TokenStream:
+    """A cursor over one statement's tokens.
+
+    The parse functions step past a token they have peeked at with
+    ``stream.pos += 1`` rather than :meth:`next`, which checks again.
+    """
+
+    __slots__ = ("tokens", "pos", "line")
+
     def __init__(self, tokens: List[Token], line: LogicalLine):
         self.tokens = tokens
         self.pos = 0
         self.line = line
 
-    def peek(self, offset: int = 0) -> Optional[Token]:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self) -> Optional[Token]:
+        try:
+            return self.tokens[self.pos]
+        except IndexError:
+            return None
 
     def next(self) -> Token:
         token = self.peek()
@@ -124,7 +134,7 @@ def _parse_expr(stream: _TokenStream) -> Expr:
         token = stream.peek()
         if token is None or token.text not in ("+", "-"):
             return left
-        stream.next()
+        stream.pos += 1
         right = _parse_term(stream)
         left = Add(left, right) if token.text == "+" else Sub(left, right)
 
@@ -135,7 +145,7 @@ def _parse_term(stream: _TokenStream) -> Expr:
         token = stream.peek()
         if token is None or token.text not in ("*", "/"):
             return left
-        stream.next()
+        stream.pos += 1
         right = _parse_power(stream)
         left = Mul(left, right) if token.text == "*" else Div(left, right)
 
@@ -144,7 +154,7 @@ def _parse_power(stream: _TokenStream) -> Expr:
     base = _parse_primary(stream)
     token = stream.peek()
     if token is not None and token.kind == "POW":
-        stream.next()
+        stream.pos += 1
         exponent = _parse_power(stream)  # right associative
         return Call("pow", (base, exponent))
     return base
@@ -154,8 +164,26 @@ def _parse_primary(stream: _TokenStream) -> Expr:
     token = stream.peek()
     if token is None:
         raise stream.error("unexpected end of expression")
+    kind = token.kind
+    if kind == "IDENT":
+        stream.pos += 1
+        name = token.text
+        if stream.accept("("):
+            args = _parse_arglist(stream)
+            if name in INTRINSICS:
+                return Call(name, tuple(args))
+            return IndexedLoad(name, tuple(args))
+        return Var(name)
+    if kind == "INT":
+        stream.pos += 1
+        return Const(int(token.text))
+    if token.text == "(":
+        stream.pos += 1
+        inner = _parse_expr(stream)
+        stream.expect(")")
+        return inner
     if token.text == "-":
-        stream.next()
+        stream.pos += 1
         operand = _parse_primary(stream)
         # Fold negated literals so `-1` is the constant -1, not Neg(1).
         if isinstance(operand, Const):
@@ -164,28 +192,11 @@ def _parse_primary(stream: _TokenStream) -> Expr:
             return RealConst(-operand.value)
         return Neg(operand)
     if token.text == "+":
-        stream.next()
+        stream.pos += 1
         return _parse_primary(stream)
-    if token.kind == "INT":
-        stream.next()
-        return Const(int(token.text))
-    if token.kind == "REAL":
-        stream.next()
+    if kind == "REAL":
+        stream.pos += 1
         return RealConst(float(token.text.lower().replace("d", "e")))
-    if token.text == "(":
-        stream.next()
-        inner = _parse_expr(stream)
-        stream.expect(")")
-        return inner
-    if token.kind == "IDENT":
-        stream.next()
-        name = token.text
-        if stream.accept("("):
-            args = _parse_arglist(stream)
-            if name in INTRINSICS:
-                return Call(name, tuple(args))
-            return IndexedLoad(name, tuple(args))
-        return Var(name)
     raise stream.error(f"unexpected token {token.text!r} in expression")
 
 
@@ -245,8 +256,8 @@ class _BlockParser:
     def current(self) -> List[Node]:
         return self.frames[-1].body
 
-    def feed(self, line: LogicalLine) -> None:
-        tokens = tokenize(line.text, line.number)
+    def feed(self, line: LogicalLine, tokens: List[Token]) -> None:
+        """Parse one logical line, given its tokens."""
         if not tokens:
             return
         self._dispatch(line, tokens)
@@ -393,7 +404,7 @@ class _BlockParser:
             token = stream.peek()
             if token is None:
                 raise stream.error("unterminated IF condition")
-            stream.next()
+            stream.pos += 1
             if token.text == "(":
                 depth += 1
             elif token.text == ")":
@@ -443,7 +454,7 @@ def parse_fragment(source: str) -> List[Node]:
     """Parse a bare statement list (no SUBROUTINE/END wrapper)."""
     parser = _BlockParser()
     for line in preprocess(source):
-        parser.feed(line)
+        parser.feed(line, tokenize(line.text, line.number))
     return parser.finish("fragment")
 
 
@@ -452,7 +463,7 @@ def parse_routine(source: str, name: str = "main") -> Routine:
     lines = preprocess(source)
     parser = _BlockParser()
     for line in lines:
-        parser.feed(line)
+        parser.feed(line, tokenize(line.text, line.number))
     return Routine(name, parser.finish(name), source_lines=len(lines))
 
 
@@ -499,7 +510,7 @@ def parse_program(source: str, name: str = "program", suite: Optional[str] = Non
             routine_name = name
             routine_lines = 0
         routine_lines += 1
-        parser.feed(line)
+        parser.feed(line, tokens)
     close_routine()
     return Program(name, routines, suite)
 

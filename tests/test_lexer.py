@@ -1,9 +1,13 @@
 """Unit tests for the Fortran-subset lexer and line preprocessor."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.corpus.loader import KERNEL_ROOT
 from repro.fortran.errors import FortranSyntaxError
-from repro.fortran.lexer import preprocess, tokenize
+from repro.fortran.lexer import Token, preprocess, tokenize
 
 
 def kinds(text):
@@ -41,6 +45,31 @@ class TestTokenize:
     def test_unknown_character_raises(self):
         with pytest.raises(FortranSyntaxError):
             tokenize("a @ b")
+
+    def test_column_outside_equality(self):
+        assert Token("IDENT", "a", 3) == Token("IDENT", "a", 9)
+        assert hash(Token("IDENT", "a", 3)) == hash(Token("IDENT", "a"))
+        assert Token("IDENT", "a") != Token("INT", "a")
+
+
+class TestStrings:
+    def test_string_is_one_verbatim_token(self):
+        tokens = tokenize("write(*,*) 'Hello, World = 1'")
+        assert [t.kind for t in tokens][-1] == "STRING"
+        assert tokens[-1].text == "'Hello, World = 1'"
+        assert tokens[-1].column == 12
+        assert tokens[0].text == "write"
+
+    def test_doubled_quote_escapes(self):
+        assert texts("x 'it''s' y") == ["x", "'it''s'", "y"]
+        assert texts('"say ""hi"""') == ['"say ""hi"""']
+        assert texts("'a\"b' \"c'd\" ") == ["'a\"b'", "\"c'd\""]
+
+    def test_unterminated_string_raises_at_quote(self):
+        with pytest.raises(FortranSyntaxError) as info:
+            tokenize("print *, 'abc")
+        assert info.value.column == 10
+        assert info.value.message == "unexpected character \"'\""
 
 
 class TestPreprocess:
@@ -87,3 +116,119 @@ class TestPreprocess:
         lines = preprocess(src)
         assert len(lines) == 1
         assert " ".join(lines[0].text.split()) == "x = a + b + c"
+
+    def test_bang_inside_strings_kept(self):
+        lines = preprocess("""      write(*,*) 'a!b', "c!d" ! note\n""")
+        assert lines[0].text == """write(*,*) 'a!b', "c!d\""""
+
+    def test_bang_after_doubled_quote(self):
+        lines = preprocess("      print *, 'it''s' ! comment\n")
+        assert lines[0].text == "print *, 'it''s'"
+
+    def test_bang_inside_other_quote_kind(self):
+        lines = preprocess("""      print *, "it's ! here" ! gone\n""")
+        assert lines[0].text == """print *, "it's ! here\""""
+
+
+# ---------------------------------------------------------------------------
+# The one-pass lexer against the per-match lexer it replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<REAL>\d+\.\d*([eEdD][+-]?\d+)?|\.\d+([eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
+  | (?P<INT>\d+)
+  | (?P<DOTOP>\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.)
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9_$]*)
+  | (?P<POW>\*\*)
+  | (?P<OP>[-+*/(),=:])
+  | (?P<RELOP><=|>=|==|/=|<|>)
+  | (?P<WS>\s+)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(line):
+    """The earlier lexer: one match per token and per run of blanks.
+
+    Returns ``(kind, text, column)`` triples, or the column of the first
+    character outside the (quote-free) subset as ``("error", column)``.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(line):
+        match = _REFERENCE_RE.match(line, pos)
+        if match is None:
+            return ("error", pos + 1)
+        kind = match.lastgroup
+        text = match.group()
+        if kind in ("IDENT", "DOTOP"):
+            text = text.lower()
+        if kind != "WS":
+            tokens.append((kind, text, match.start() + 1))
+        pos = match.end()
+    return tokens
+
+
+def lexed(line):
+    try:
+        return [(t.kind, t.text, t.column) for t in tokenize(line)]
+    except FortranSyntaxError as exc:
+        return ("error", exc.column)
+
+
+_LETTERS = "abcxyzABCXYZdDeE"
+_DIGITS = "0123456789"
+_WORDS = st.one_of(
+    # identifiers
+    st.builds(
+        str.__add__,
+        st.sampled_from(_LETTERS),
+        st.text(_LETTERS + _DIGITS + "_$", max_size=4),
+    ),
+    # integers and reals: `12`, `1.`, `1.5`, `.5`, `1e5`, `2.d-3`, lone `.`
+    st.builds(
+        "".join,
+        st.tuples(
+            st.text(_DIGITS, max_size=3),
+            st.sampled_from(["", "", "."]),
+            st.text(_DIGITS, max_size=3),
+            st.sampled_from(["", "", "e5", "E+12", "d0", "D-2", "e", "d+"]),
+        ),
+    ),
+    st.sampled_from(
+        [".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge.", ".and.", ".or.",
+         ".not.", ".true.", ".false.", ".EQ.", ".Gt.", ".eq", ".x."]
+    ),
+    st.sampled_from(
+        ["**", "*", "/=", "==", "<=", ">=", "<", ">", "=", "/", "+", "-",
+         "(", ")", ",", ":", "@", "%", "&", "#"]
+    ),
+)
+_BLANKS = st.sampled_from(["", "", " ", "  ", "\t", " \t  ", "     "])
+
+
+@st.composite
+def quote_free_lines(draw):
+    parts = draw(st.lists(st.tuples(_BLANKS, _WORDS), max_size=12))
+    return "".join(blank + word for blank, word in parts) + draw(_BLANKS)
+
+
+class TestReferenceEquivalence:
+    @given(quote_free_lines())
+    @example("if (a(i) /= b .and. x==y) z = 1.5e3 ** .5d0")
+    @example("do 10 i = 1 %% n")
+    @example("x = 1.eq.2 .or. 3.e-4 <= 2.D+1\t  @")
+    @example("  a\t=  \t b  ")
+    @settings(max_examples=200, deadline=None)
+    def test_generated_lines(self, line):
+        assert lexed(line) == reference_tokenize(line)
+
+    def test_bundled_kernels(self):
+        paths = sorted(KERNEL_ROOT.glob("*/*.f"))
+        assert paths
+        lines = [l.text for p in paths for l in preprocess(p.read_text())]
+        assert len(lines) > 500
+        for line in lines:
+            assert lexed(line) == reference_tokenize(line), line

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.corpus.loader import KERNEL_ROOT
+from repro.corpus.stream import analyze_routine, parse_source
+from repro.engine.engine import DependenceEngine
+from repro.fortran import parser
 from repro.fortran.errors import FortranSyntaxError
+from repro.fortran.lexer import preprocess
 from repro.fortran.parser import (
     parse_expression,
     parse_fragment,
@@ -242,3 +247,108 @@ class TestPrograms:
     def test_suite_recorded(self):
         program = parse_program("a(1) = 2", suite="spec")
         assert program.suite == "spec"
+
+
+class TestOneLexPerLine:
+    def test_parse_program_tokenizes_each_logical_line_once(self, monkeypatch):
+        calls = []
+        real_tokenize = parser.tokenize
+
+        def counting(text, line_number=0):
+            calls.append(line_number)
+            return real_tokenize(text, line_number)
+
+        monkeypatch.setattr(parser, "tokenize", counting)
+        paths = sorted(KERNEL_ROOT.glob("*/*.f"))
+        expected = 0
+        for path in paths:
+            source = path.read_text()
+            lines = preprocess(source)
+            before = len(calls)
+            parse_program(source, name=path.stem)
+            assert calls[before:] == [line.number for line in lines], path.name
+            expected += len(lines)
+        assert len(calls) == expected > 500
+
+
+class TestDiagnostics:
+    def diagnostic(self, source):
+        with pytest.raises(FortranSyntaxError) as info:
+            parse_program(source)
+        return info.value.diagnostic()
+
+    def test_unexpected_character_caret(self):
+        source = (
+            "      subroutine s(a, n)\n"
+            "      do 10 i = 1 %% n\n"
+            " 10   continue\n"
+            "      end\n"
+        )
+        assert self.diagnostic(source) == (
+            "syntax error: unexpected character '%' at line 2, column 13\n"
+            "  do 10 i = 1 %% n\n"
+            "              ^"
+        )
+
+    def test_unexpected_end_of_statement_caret(self):
+        source = (
+            "      subroutine s(a, n)\n"
+            "      do 10\n"
+            "      end\n"
+        )
+        assert self.diagnostic(source) == (
+            "syntax error: unexpected end of statement at line 2, column 6\n"
+            "  do 10\n"
+            "       ^"
+        )
+
+    def test_string_in_expression_caret(self):
+        source = "      subroutine s(a)\n      a(1) = 'one'\n      end\n"
+        assert self.diagnostic(source) == (
+            "syntax error: unexpected token \"'one'\" in expression"
+            " at line 2, column 8\n"
+            "  a(1) = 'one'\n"
+            "         ^"
+        )
+
+
+class TestStringLiterals:
+    WITH_STRINGS = """\
+      subroutine s(a, b, n)
+      real a(n), b(n)
+      character*16 title
+      data title /'wave''s front'/
+      write(*, *) 'start: n = ', n
+      do 10 i = 2, n
+         a(i) = a(i-1) + b(i)
+         print *, "a(i) = ", a(i), ' ! not a comment'
+   10 continue
+  100 format(1x, 'a(i) = (', f8.3, ')')
+      call report("done; don't stop", a)
+      end
+"""
+    WITHOUT_STRINGS = """\
+      subroutine s(a, b, n)
+      real a(n), b(n)
+      character*16 title
+      do 10 i = 2, n
+         a(i) = a(i-1) + b(i)
+   10 continue
+      end
+"""
+
+    @staticmethod
+    def reports(source):
+        program = parse_source(source.encode(), "strings")
+        engine = DependenceEngine()
+        return [analyze_routine(engine, r).text for r in program.routines]
+
+    def test_same_graph_as_without_the_string_lines(self):
+        with_strings = self.reports(self.WITH_STRINGS)
+        assert with_strings == self.reports(self.WITHOUT_STRINGS)
+        assert "flow a(i) (S1) -> a((i - 1)) (S1) {(<)}" in with_strings[0]
+
+    def test_logical_if_with_string_statement(self):
+        nodes = parse_fragment("if (x .gt. 0) write(*, *) 'x = ', x\n")
+        assert isinstance(nodes[0], Conditional)
+        assert nodes[0].body == []
