@@ -10,8 +10,8 @@ quantifies the difference on dgefa plus a running-offset microkernel where
 the raw analysis is not merely imprecise but wrong.
 """
 
-from repro.corpus.loader import default_symbols, load_program
-from repro.fortran.parser import parse_fragment
+from repro.corpus.loader import KERNEL_ROOT, default_symbols, load_program
+from repro.fortran.parser import parse_fragment, parse_program
 from repro.graph.depgraph import DependenceType, build_dependence_graph
 from repro.ir.scalars import substitute_scalars
 from repro.transform.parallel import find_parallel_loops
@@ -25,7 +25,7 @@ def test_dgefa_with_and_without_prepass(benchmark):
 
     symbols = default_symbols()
     with_pass = load_program("linpack", "dgefa")  # loader applies the pass
-    without = load_program("linpack", "dgefa", normalize=False)
+    without = parse_program((KERNEL_ROOT / "linpack" / "dgefa.f").read_text())
 
     def bound_vars(program):
         names = set()

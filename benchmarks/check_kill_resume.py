@@ -85,11 +85,6 @@ def spawn_cli(args, faults=None, extra_env=None):
     )
 
 
-def normalize(text):
-    """Mask the global statement-label counter (drifts between parses)."""
-    return re.sub(r"\bS\d+\b", "S#", text)
-
-
 def graph_body(stdout):
     """The dependence-graph portion of analyze output (no counters)."""
     return stdout.split("test applications:")[0]
@@ -108,15 +103,13 @@ def store_hits(stdout):
 
 
 def check_graph(stdout, reference, who):
-    if normalize(graph_body(stdout)) != normalize(
-        graph_body(reference.stdout)
-    ):
+    if graph_body(stdout) != graph_body(reference.stdout):
         print(f"FAIL: {who}: resumed dependence graph diverges from "
               "reference:", file=sys.stderr)
         print("--- reference ---", file=sys.stderr)
-        print(normalize(graph_body(reference.stdout)), file=sys.stderr)
+        print(graph_body(reference.stdout), file=sys.stderr)
         print(f"--- {who} ---", file=sys.stderr)
-        print(normalize(graph_body(stdout)), file=sys.stderr)
+        print(graph_body(stdout), file=sys.stderr)
         return False
     return True
 

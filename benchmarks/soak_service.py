@@ -54,13 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from repro.corpus.loader import default_symbols  # noqa: E402
 from repro.engine import DependenceEngine  # noqa: E402
-from repro.fortran.parser import parse_program  # noqa: E402
-from repro.ir.normalize import normalize_program  # noqa: E402
-from repro.service.protocol import (  # noqa: E402
-    graph_payload,
-    parallelism_payload,
-)
-from repro.transform.parallel import find_parallel_loops  # noqa: E402
+from repro.pipeline import analyze_routine, parse_source  # noqa: E402
 
 HOST = "127.0.0.1"
 
@@ -93,24 +87,12 @@ def make_kernel(i: int) -> str:
 def oracle_routines(source: str) -> list:
     """The reference routines payload, computed with the same library
     code the server runs (no faults, fresh engine)."""
-    symbols = default_symbols()
-    program = normalize_program(parse_program(source, name="oracle"))
-    engine = DependenceEngine(symbols=symbols)
-    try:
-        out = []
-        for routine in program.routines:
-            graph = engine.build_graph(routine.body)
-            verdicts = find_parallel_loops(routine.body, symbols, graph=graph)
-            out.append(
-                {
-                    "name": routine.name,
-                    "graph": graph_payload(graph),
-                    "parallel_loops": parallelism_payload(verdicts),
-                }
-            )
-        return out
-    finally:
-        engine.close()
+    program = parse_source(source, "oracle")
+    with DependenceEngine(symbols=default_symbols()) as engine:
+        return [
+            analyze_routine(engine, routine, engine.build_graph)
+            for routine in program.routines
+        ]
 
 
 def edge_keys(routines: list) -> set:

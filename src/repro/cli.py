@@ -39,6 +39,7 @@ run continues memory-only, and the fault report says so.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -55,14 +56,10 @@ from repro.engine import (
     StoreError,
     VerdictStore,
 )
-from repro.engine.faults import FailureRecord
+from repro.engine.faults import FailureRecord, describe_error
 from repro.fortran.errors import FortranSyntaxError
-from repro.fortran.parser import parse_program
 from repro.instrument import TestRecorder
-from repro.ir.normalize import normalize_program
-from repro.transform.parallel import find_parallel_loops
-from repro.transform.peel import find_peeling_opportunities
-from repro.transform.split import find_splitting_opportunities
+from repro.pipeline import analyze_routine, parse_source, render_routine
 
 #: Exit code for a Fortran syntax error in the input file.
 EXIT_SYNTAX_ERROR = 2
@@ -261,17 +258,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _read_source(path: Path) -> Optional[str]:
-    """Read an input file; on failure print a clean error and return None."""
+    """Read a UTF-8 input file; on failure print a clean error and return None."""
     try:
-        return path.read_text()
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
         print(f"repro-deps: cannot read '{path}': {reason}", file=sys.stderr)
         return None
 
 
-def _parse_input(path: Path):
-    """Parse a Fortran input file: ``(program, exit_code)``.
+def _read_program(path: Path):
+    """Read an input file through the shared front end: ``(program,
+    exit_code)``.
 
     ``program`` is None on failure; syntax errors print the front end's
     diagnostic (line, column, snippet, caret) instead of a traceback.
@@ -280,16 +278,18 @@ def _parse_input(path: Path):
     if source is None:
         return None, 1
     try:
-        program = normalize_program(parse_program(source, name=path.stem))
+        return parse_source(source, path.stem), 0
     except FortranSyntaxError as exc:
         print(f"repro-deps: {path}:", file=sys.stderr)
         print(exc.diagnostic(), file=sys.stderr)
         return None, EXIT_SYNTAX_ERROR
-    return program, 0
 
 
-def _strict_abort(exc: EngineFaultError) -> int:
-    print(f"repro-deps: aborted by --strict: {exc}", file=sys.stderr)
+def _strict_abort(exc: Exception) -> int:
+    """Report a ``--strict`` abort: an engine fault, or a crash that a
+    strict run does not quarantine."""
+    reason = str(exc) if isinstance(exc, EngineFaultError) else describe_error(exc)
+    print(f"repro-deps: aborted by --strict: {reason}", file=sys.stderr)
     return EXIT_STRICT_FAULT
 
 
@@ -355,7 +355,7 @@ def _store(args: argparse.Namespace) -> int:
 def _vectorize(args: argparse.Namespace) -> int:
     from repro.transform.vectorize import vectorize
 
-    program, code = _parse_input(args.file)
+    program, code = _read_program(args.file)
     if program is None:
         return code
     symbols = default_symbols()
@@ -369,18 +369,9 @@ def _vectorize(args: argparse.Namespace) -> int:
 
 
 def _analyze(args: argparse.Namespace) -> int:
-    from repro.engine import faultinject
-    from repro.engine.faults import describe_error
-
-    source = _read_source(args.file)
-    if source is None:
-        return 1
-    try:
-        program = normalize_program(parse_program(source, name=args.file.stem))
-    except FortranSyntaxError as exc:
-        print(f"repro-deps: {args.file}:", file=sys.stderr)
-        print(exc.diagnostic(), file=sys.stderr)
-        return EXIT_SYNTAX_ERROR
+    program, code = _read_program(args.file)
+    if program is None:
+        return code
     store = None
     if args.store is not None:
         if args.no_cache:
@@ -393,52 +384,35 @@ def _analyze(args: argparse.Namespace) -> int:
         store = _open_store(args.store)
         if store is None:
             return EXIT_STORE_ERROR
-    symbols = default_symbols()
     engine = DependenceEngine(
-        symbols=symbols,
+        symbols=default_symbols(),
         use_cache=not args.no_cache,
         profile=args.profile,
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
     )
     recorder = TestRecorder()
+    build = functools.partial(engine.build_graph, recorder=recorder)
     try:
         with engine:
             for routine in program.routines:
-                print(f"== routine {routine.name} ==")
-                try:
-                    faultinject.on_routine(routine.name)
-                    graph = engine.build_graph(routine.body, recorder=recorder)
-                except EngineFaultError as exc:
-                    return _strict_abort(exc)
-                except Exception as exc:
-                    if args.strict:
-                        raise
+                entry = analyze_routine(engine, routine, build, args.transforms)
+                if "error" in entry:
                     engine.stats.record_failure(
                         FailureRecord(
-                            "routine", f"{args.file.stem}/{routine.name}",
-                            describe_error(exc),
+                            "routine",
+                            f"{args.file.stem}/{routine.name}",
+                            entry["error"],
                         )
                     )
-                    print(f"routine skipped after failure: {describe_error(exc)}")
-                    print()
-                    continue
-                print(graph)
-                for verdict in find_parallel_loops(routine.body, symbols, graph):
-                    print(verdict)
-                if args.transforms:
-                    for suggestion in find_peeling_opportunities(
-                        routine.body, symbols, graph
-                    ):
-                        print(suggestion)
-                    for suggestion in find_splitting_opportunities(
-                        routine.body, symbols, graph
-                    ):
-                        print(suggestion)
-                print()
+                print(render_routine(entry), end="")
                 # Per-routine durability barrier: a killed --store run
                 # keeps every routine it printed.
                 engine.driver.flush()
+    except Exception as exc:
+        if not (args.strict or isinstance(exc, EngineFaultError)):
+            raise
+        return _strict_abort(exc)
     finally:
         if store is not None:
             store.close()
@@ -523,7 +497,7 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 def _client(args: argparse.Namespace) -> int:
-    """Send one file to a running service; mirrors ``analyze`` output.
+    """Send one file to a running service; prints ``analyze``'s text.
 
     Exit codes follow ``analyze``: 0 for ok *and* degraded answers (the
     degradation report is printed), 1 for an unreadable input file, 2
@@ -565,7 +539,7 @@ def _client(args: argparse.Namespace) -> int:
     if args.as_json:
         print(_json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(render_analysis(payload))
+        print(render_analysis(payload), end="")
     return 0
 
 
@@ -609,22 +583,12 @@ def _corpus_run(args: argparse.Namespace) -> int:
     try:
         with engine:
             stats = runner.run()
-    except EngineFaultError as exc:
+    except Exception as exc:
+        if not (args.strict or isinstance(exc, EngineFaultError)):
+            raise
         if store is not None:
             store.close()
         return _strict_abort(exc)
-    except Exception as exc:
-        if not args.strict:
-            raise
-        from repro.engine.faults import describe_error
-
-        if store is not None:
-            store.close()
-        print(
-            f"repro-deps: aborted by --strict: {describe_error(exc)}",
-            file=sys.stderr,
-        )
-        return EXIT_STRICT_FAULT
     for line in stats.summary_lines():
         print(line, file=sys.stderr)
     print(engine.stats.provenance_report(), file=sys.stderr)

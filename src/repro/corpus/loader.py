@@ -11,8 +11,10 @@ nonlinear index-array subscripts.  What the study measures — dimension
 histograms, separable/coupled/nonlinear counts, subscript classes, test
 hit-rates — depends only on that structure.
 
-Programs load lazily from ``kernels/<suite>/<name>.f`` and are normalized
-(non-unit loop steps removed) before analysis.
+Programs load lazily from ``kernels/<suite>/<name>.f`` through the shared
+front end (:func:`repro.pipeline.parse_source`): the paper's assumed
+prepasses — scalar and induction-variable substitution, then loop-step
+normalization — run before analysis.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.fortran.parser import parse_program
 from repro.ir.context import SymbolEnv
-from repro.ir.normalize import normalize_program
-from repro.ir.scalars import substitute_scalars_program
 from repro.ir.program import Program
+from repro.pipeline import parse_source
 
 KERNEL_ROOT = Path(__file__).parent / "kernels"
 
@@ -61,30 +61,20 @@ def available_programs(suite: str) -> List[str]:
     return sorted(path.stem for path in suite_dir.glob("*.f"))
 
 
-def load_program(suite: str, name: str, normalize: bool = True) -> Program:
-    """Load one corpus program, parsed and (by default) step-normalized."""
+def load_program(suite: str, name: str) -> Program:
+    """Load one corpus program through the shared front end."""
     path = KERNEL_ROOT / suite / f"{name}.f"
     if not path.is_file():
         raise FileNotFoundError(f"no corpus kernel {suite}/{name}.f")
-    program = parse_program(path.read_text(), name=name, suite=suite)
-    if normalize:
-        # The paper's assumed prepasses: induction-variable/scalar
-        # substitution, then loop-step normalization.
-        program = substitute_scalars_program(program)
-        program = normalize_program(program)
-    return program
+    return parse_source(path.read_bytes(), name, suite)
 
 
-def load_suite(suite: str, normalize: bool = True) -> List[Program]:
+def load_suite(suite: str) -> List[Program]:
     """Load every program of one suite."""
-    return [
-        load_program(suite, name, normalize) for name in available_programs(suite)
-    ]
+    return [load_program(suite, name) for name in available_programs(suite)]
 
 
-def load_corpus(
-    suites: Optional[List[str]] = None, normalize: bool = True
-) -> Dict[str, List[Program]]:
+def load_corpus(suites: Optional[List[str]] = None) -> Dict[str, List[Program]]:
     """Load the whole corpus (or selected suites) keyed by suite name."""
     chosen = suites or available_suites()
-    return {suite: load_suite(suite, normalize) for suite in chosen}
+    return {suite: load_suite(suite) for suite in chosen}

@@ -98,16 +98,12 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from repro.dirvec.vectors import format_vector
 from repro.engine import faultinject
 from repro.engine.engine import DependenceEngine
-from repro.engine.faults import EngineFaultError, FailureRecord, describe_error
+from repro.engine.faults import FailureRecord, describe_error
 from repro.engine.profile import PhaseProfile
 from repro.engine.stats import EngineStats
-from repro.fortran.parser import parse_program
-from repro.ir.normalize import normalize_program
-from repro.ir.scalars import substitute_scalars_program
-from repro.transform.parallel import find_parallel_loops
+from repro.pipeline import analyze_routine, parse_source, report_text
 
 #: Bump when the rendered report format changes: tokens embed the schema,
 #: so a format change invalidates cached report documents instead of
@@ -186,46 +182,11 @@ def routine_token(file_digest: str, ordinal: int, name: str) -> str:
     return run_token("corpus-routine", REPORT_SCHEMA, file_digest, ordinal, name)
 
 
-def render_routine_report(name: str, graph, verdicts) -> str:
-    """Deterministic per-routine report text.
-
-    Mirrors ``DependenceGraph.__str__`` but renumbers statement ids
-    densely in access-site order: the global statement counter drifts
-    between parses, and cached reports must compare byte-equal with
-    freshly rendered ones.
-    """
-    stmt_ids: Dict[int, int] = {}
-    for site in graph.sites:
-        raw = site.stmt.stmt_id
-        if raw not in stmt_ids:
-            stmt_ids[raw] = len(stmt_ids) + 1
-    lines = [f"-- routine {name} --"]
-    for edge in graph.edges:
-        vectors = ", ".join(sorted(format_vector(v) for v in edge.vectors))
-        src = stmt_ids.get(edge.source.stmt.stmt_id, 0)
-        snk = stmt_ids.get(edge.sink.stmt.stmt_id, 0)
-        text = (
-            f"{edge.dep_type} {edge.source.ref} (S{src})"
-            f" -> {edge.sink.ref} (S{snk}) {{{vectors}}}"
-        )
-        if edge.assumed:
-            text += " [assumed]"
-        lines.append(text)
-    lines.append(
-        f"({graph.tested_pairs} pairs tested, "
-        f"{graph.independent_pairs} independent)"
-    )
-    for verdict in verdicts:
-        lines.append(str(verdict))
-    lines.append("")
-    return "\n".join(lines)
-
-
-def parse_source(data: bytes, stem: str):
-    """Decode, parse, substitute scalars in and normalize one file."""
-    return normalize_program(
-        substitute_scalars_program(parse_program(data.decode("utf-8"), name=stem))
-    )
+def render_routine_report(entry: Dict) -> str:
+    """One routine's corpus report: a ``-- routine NAME --`` header over
+    the shared report text of its encoding (dense statement ids, so
+    cached reports compare byte-equal with freshly rendered ones)."""
+    return f"-- routine {entry['name']} --\n{report_text(entry)}"
 
 
 class RoutineResult(NamedTuple):
@@ -255,9 +216,10 @@ class FileResult(NamedTuple):
     pressure: Optional[Tuple[float, int]] = None
 
 
-def analyze_routine(engine: DependenceEngine, routine) -> RoutineResult:
-    """Build, search and render one routine through ``engine``.
+def report_routine(engine: DependenceEngine, routine) -> RoutineResult:
+    """Analyze one routine through the shared step and render its report.
 
+    The report is degraded when the engine absorbed a fault meanwhile.
     Engine faults, and any crash under a strict policy, propagate (the
     CLI turns them into exit 3); other crashes come back as a
     quarantine result.
@@ -265,22 +227,13 @@ def analyze_routine(engine: DependenceEngine, routine) -> RoutineResult:
     stats = engine.stats
     assumed_before = stats.assumed
     failures_before = len(stats.failures)
-    try:
-        faultinject.on_routine(routine.name)
-        graph = engine.build_graph(routine.body)
-        verdicts = find_parallel_loops(routine.body, engine.symbols, graph)
-    except EngineFaultError:
-        raise
-    except Exception as exc:
-        if engine.policy.strict:
-            raise  # same contract as `analyze --strict`
-        return RoutineResult(routine.name, None, False, describe_error(exc))
+    entry = analyze_routine(engine, routine, engine.build_graph)
+    if "error" in entry:
+        return RoutineResult(routine.name, None, False, entry["error"])
     degraded = (
         stats.assumed > assumed_before or len(stats.failures) > failures_before
     )
-    return RoutineResult(
-        routine.name, render_routine_report(routine.name, graph, verdicts), degraded
-    )
+    return RoutineResult(routine.name, render_routine_report(entry), degraded)
 
 
 @dataclass
@@ -393,8 +346,6 @@ class _FreshRecords:
     miss: a worker answers from its own memory tier.
     """
 
-    events = ()
-
     def __init__(self):
         self.records: List[Tuple] = []
 
@@ -431,7 +382,7 @@ class _PoolWorker:
             )
             self.sink.records = []
             try:
-                result = analyze_routine(self.engine, routine)
+                result = report_routine(self.engine, routine)
             except Exception as exc:  # --strict: raised when the parent gets here
                 result = RoutineResult(routine.name, None, False, abort=exc)
             driver.stats.store_writes = 0  # the parent counts its own writes
@@ -655,7 +606,7 @@ class StreamingCorpusRunner:
             names = [routine.name for routine in routines]
 
             def analyzed(ordinal: int) -> RoutineResult:
-                return analyze_routine(self.engine, routines[ordinal])
+                return report_routine(self.engine, routines[ordinal])
 
         else:
             self._worker_relief = result.pressure

@@ -9,11 +9,12 @@ alternative of the pattern swallows the blanks before its token, and the
 last one, ``BAD``, takes any other non-blank character, so consecutive
 matches tile the line up to trailing blanks: a match is either a token or
 the first character outside the subset, reported as a
-:class:`FortranSyntaxError` at its line and column.  Identifiers are
-lowercased (Fortran is case-insensitive); dot-operators match in lower
-case only; character constants (``'...'`` or ``"..."``, a doubled quote
-standing for one) are ``STRING`` tokens kept verbatim, so statements the
-parser skips (``WRITE``, ``FORMAT``, ``CALL`` ...) may carry them.
+:class:`FortranSyntaxError` at its line and column.  Identifiers and
+dot-operators match in either case and are lowercased (Fortran is
+case-insensitive); character constants (``'...'`` or ``"..."``, a
+doubled quote standing for one) are ``STRING`` tokens kept verbatim, so
+statements the parser skips (``WRITE``, ``FORMAT``, ``CALL`` ...) may
+carry them.
 """
 
 from __future__ import annotations
@@ -26,18 +27,18 @@ from repro.fortran.errors import FortranSyntaxError
 
 #: One token, with the blanks before it.  The alternatives are tried in
 #: order, most frequent first; only three orders matter: ``REAL`` before
-#: ``INT``, ``POW`` before ``OP``, and ``OP`` before ``RELOP``, so ``/=``
-#: and ``==`` lex as two ``OP`` tokens.  ``BAD`` must come last.
+#: ``INT``, ``POW`` before ``OP``, and ``RELOP`` before ``OP``, so ``/=``
+#: and ``==`` lex as one ``RELOP`` token.  ``BAD`` must come last.
 TOKEN_RE = re.compile(
     r"""
     \s*(?:
       (?P<IDENT>[A-Za-z][A-Za-z0-9_$]*)
     | (?P<POW>\*\*)
+    | (?P<RELOP>[<>]=?|[=/]=)
     | (?P<OP>[-+*/(),=:])
     | (?P<REAL>\d+\.\d*(?:[eEdD][+-]?\d+)?|\.\d+(?:[eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
     | (?P<INT>\d+)
-    | (?P<DOTOP>\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.)
-    | (?P<RELOP><=|>=|==|/=|<|>)
+    | (?P<DOTOP>(?i:\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.))
     | (?P<STRING>'(?:[^']|'')*'|"(?:[^"]|"")*")
     | (?P<BAD>\S)
     )
@@ -75,7 +76,7 @@ def tokenize(line: str, line_number: int = 0) -> List[Token]:
     append = tokens.append
     for match in TOKEN_RE.finditer(line):
         kind = match.lastgroup
-        if kind == "IDENT":
+        if kind == "IDENT" or kind == "DOTOP":
             append(Token(kind, match.group(kind).lower(), match.start(kind) + 1))
         elif kind == "BAD":
             column = match.start(kind)

@@ -11,7 +11,9 @@ they only *add* conservative ones, so a client consuming a degraded
 response can still parallelize safely (it just parallelizes less).
 
 The module is deliberately free of any server machinery so the client,
-the server, and the tests share one encoding.
+the server, and the tests share one encoding.  Each ``routines[i]``
+object is :mod:`repro.pipeline`'s routine encoding, the one ``analyze``
+and ``corpus run`` render too.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.dirvec.vectors import format_vector
 from repro.engine.stats import EngineStats
-from repro.graph.depgraph import DependenceEdge, DependenceGraph
 from repro.instrument import TestRecorder
-from repro.transform.parallel import LoopParallelism
+from repro.pipeline import (  # noqa: F401  (re-exported: the routine encoding)
+    graph_payload,
+    parallelism_payload,
+    render_routine,
+)
 
 #: Largest accepted request body, in bytes.  Kernels in the paper's corpus
 #: are a few hundred lines; 2 MiB leaves two orders of magnitude of slack
@@ -133,64 +137,6 @@ class AnalyzeRequest:
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()
 
 
-def edge_payload(
-    edge: DependenceEdge, stmt_ids: Optional[Dict[int, int]] = None
-) -> Dict[str, Any]:
-    """JSON form of one dependence edge.
-
-    ``source``/``sink`` are reference strings (``a(i+1)``); statement
-    ids are renumbered through ``stmt_ids`` when given.
-    """
-    src_stmt = edge.source.stmt.stmt_id
-    sink_stmt = edge.sink.stmt.stmt_id
-    if stmt_ids is not None:
-        src_stmt = stmt_ids.get(src_stmt, src_stmt)
-        sink_stmt = stmt_ids.get(sink_stmt, sink_stmt)
-    return {
-        "type": str(edge.dep_type),
-        "source": str(edge.source.ref),
-        "sink": str(edge.sink.ref),
-        "source_stmt": src_stmt,
-        "sink_stmt": sink_stmt,
-        "vectors": sorted(format_vector(v) for v in edge.vectors),
-        "assumed": edge.assumed,
-    }
-
-
-def graph_payload(graph: DependenceGraph) -> Dict[str, Any]:
-    """JSON form of one routine's dependence graph.
-
-    Statement ids are renumbered densely in access-site order: the
-    parser's statement counter is process-global, so raw ids drift
-    between requests (and between server restarts).  Renumbering makes
-    the payload a pure function of the routine's source — two requests
-    for the same kernel produce byte-identical bodies no matter which
-    process, or which parse, served them.
-    """
-    stmt_ids: Dict[int, int] = {}
-    for site in graph.sites:
-        raw = site.stmt.stmt_id
-        if raw not in stmt_ids:
-            stmt_ids[raw] = len(stmt_ids) + 1
-    return {
-        "edges": [edge_payload(edge, stmt_ids) for edge in graph.edges],
-        "tested_pairs": graph.tested_pairs,
-        "independent_pairs": graph.independent_pairs,
-    }
-
-
-def parallelism_payload(verdicts: List[LoopParallelism]) -> List[Dict[str, Any]]:
-    """JSON form of the per-loop parallelism verdicts."""
-    return [
-        {
-            "loop": verdict.loop.index,
-            "parallel": verdict.parallel,
-            "blocking_edges": len(verdict.blocking_edges),
-        }
-        for verdict in verdicts
-    ]
-
-
 def recorder_payload(recorder: TestRecorder) -> List[Dict[str, Any]]:
     """JSON form of the Table-3 test-application counters."""
     return [
@@ -240,38 +186,16 @@ def error_payload(error: str, detail: str = "") -> Dict[str, Any]:
 def render_analysis(payload: Dict[str, Any]) -> str:
     """Human-readable rendering of an ``/analyze`` response.
 
-    Mirrors the shape of ``repro-deps analyze`` output so the service
-    client's text mode reads like the offline CLI.
+    Each routine reads exactly as ``repro-deps analyze`` prints it
+    (:func:`repro.pipeline.render_routine`); a degraded response ends
+    with the failures that made it conservative.
     """
-    lines: List[str] = []
-    for routine in payload.get("routines", []):
-        lines.append(f"=== {routine['name']} ===")
-        graph = routine["graph"]
-        for edge in graph["edges"]:
-            vectors = ", ".join(edge["vectors"])
-            text = (
-                f"{edge['type']} {edge['source']} (S{edge['source_stmt']})"
-                f" -> {edge['sink']} (S{edge['sink_stmt']}) {{{vectors}}}"
-            )
-            if edge["assumed"]:
-                text += " [assumed]"
-            lines.append(text)
-        lines.append(
-            f"({graph['tested_pairs']} pairs tested, "
-            f"{graph['independent_pairs']} independent)"
-        )
-        for verdict in routine["parallel_loops"]:
-            tag = "PARALLEL" if verdict["parallel"] else (
-                f"serial (blocked by {verdict['blocking_edges']} edges)"
-            )
-            lines.append(f"DO {verdict['loop']}: {tag}")
-        for suggestion in routine.get("transforms", []):
-            lines.append(suggestion)
+    text = "".join(render_routine(entry) for entry in payload.get("routines", []))
     if payload.get("degraded"):
-        lines.append("")
-        lines.append("DEGRADED RESULTS: some verdicts assumed conservatively")
+        lines = ["DEGRADED RESULTS: some verdicts assumed conservatively"]
         for failure in payload.get("failures", []):
             lines.append(
                 f"  [{failure['kind']}] {failure['where']}: {failure['error']}"
             )
-    return "\n".join(lines)
+        text += "\n".join(lines) + "\n"
+    return text

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import json
 import signal
 import socket
@@ -54,13 +55,17 @@ from typing import Any, Dict, Optional, Tuple
 from repro.corpus.loader import default_symbols
 from repro.engine import faultinject
 from repro.engine.engine import DependenceEngine
-from repro.engine.faults import Deadline, FaultPolicy, DEFAULT_POLICY
+from repro.engine.faults import (
+    DEFAULT_POLICY,
+    Deadline,
+    FailureRecord,
+    FaultPolicy,
+)
 from repro.engine.stats import EngineStats
 from repro.engine.store import StoreError, VerdictStore
 from repro.fortran.errors import FortranSyntaxError
-from repro.fortran.parser import parse_program
 from repro.instrument import TestRecorder
-from repro.ir.normalize import normalize_program
+from repro.pipeline import analyze_routine, parse_source
 from repro.service.breaker import CircuitBreaker
 from repro.service.limiter import AdmissionLimiter
 from repro.service.protocol import (
@@ -69,12 +74,7 @@ from repro.service.protocol import (
     ProtocolError,
     analysis_payload,
     error_payload,
-    graph_payload,
-    parallelism_payload,
 )
-from repro.transform.parallel import find_parallel_loops
-from repro.transform.peel import find_peeling_opportunities
-from repro.transform.split import find_splitting_opportunities
 
 class _BadRequest(Exception):
     """A request malformed below the JSON layer (e.g. bad Content-Length)."""
@@ -162,7 +162,6 @@ class DependenceService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.engine: Optional[DependenceEngine] = None
-        self.symbols = default_symbols()
         self.stats = ServiceStats()
         self.limiter = AdmissionLimiter(
             config.max_in_flight, config.queue_depth
@@ -210,7 +209,7 @@ class DependenceService:
         if config.cache_size is not None:
             kwargs["cache_size"] = config.cache_size
         self.engine = DependenceEngine(
-            symbols=self.symbols,
+            symbols=default_symbols(),
             store=store,
             policy=config.policy,
             **kwargs,
@@ -564,9 +563,7 @@ class DependenceService:
             Deadline(deadline_ms / 1000.0) if deadline_ms is not None else None
         )
         try:
-            program = normalize_program(
-                parse_program(request.source, name=request.name)
-            )
+            program = parse_source(request.source, request.name)
         except FortranSyntaxError as exc:
             return (
                 422,
@@ -575,37 +572,23 @@ class DependenceService:
             )
         stats = EngineStats()
         recorder = TestRecorder()
+        build = functools.partial(
+            engine.serve_build,
+            recorder=recorder,
+            include_input=request.include_input,
+            deadline=deadline,
+            stats=stats,
+        )
         routines = []
         for routine in program.routines:
-            graph = engine.serve_build(
-                routine.body,
-                recorder=recorder,
-                include_input=request.include_input,
-                deadline=deadline,
-                stats=stats,
-            )
-            verdicts = find_parallel_loops(
-                routine.body, self.symbols, graph=graph
-            )
-            entry: Dict[str, Any] = {
-                "name": routine.name,
-                "graph": graph_payload(graph),
-                "parallel_loops": parallelism_payload(verdicts),
-            }
-            if request.transforms:
-                suggestions = [
-                    str(s)
-                    for s in find_peeling_opportunities(
-                        routine.body, self.symbols, graph
-                    )
-                ]
-                suggestions.extend(
-                    str(s)
-                    for s in find_splitting_opportunities(
-                        routine.body, self.symbols, graph
-                    )
+            entry = analyze_routine(engine, routine, build, request.transforms)
+            if "error" in entry:
+                record = FailureRecord(
+                    "routine", f"{request.name}/{routine.name}", entry["error"]
                 )
-                entry["transforms"] = suggestions
+                stats.record_failure(record)
+                with engine.serve_lock:
+                    engine.stats.record_failure(record)
             routines.append(entry)
         payload = analysis_payload(
             request, routines, stats, recorder, time.perf_counter() - started

@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.cli import main
 from repro.corpus.loader import KERNEL_ROOT
 from repro.fortran.errors import FortranSyntaxError
 from repro.fortran.lexer import Token, preprocess, tokenize
@@ -41,6 +42,15 @@ class TestTokenize:
         assert kinds("a .gt. b .and. c") == [
             "IDENT", "DOTOP", "IDENT", "DOTOP", "IDENT",
         ]
+
+    def test_dot_operators_in_any_case_lowercased(self):
+        assert texts("B(I) .GT. 0.0 .And. .NOT. C") == [
+            "b", "(", "i", ")", ".gt.", "0.0", ".and.", ".not.", "c",
+        ]
+
+    def test_two_character_relational_operators(self):
+        assert texts("a /= b .or. c == d") == ["a", "/=", "b", ".or.", "c", "==", "d"]
+        assert kinds("a /= b") == ["IDENT", "RELOP", "IDENT"]
 
     def test_unknown_character_raises(self):
         with pytest.raises(FortranSyntaxError):
@@ -138,11 +148,11 @@ _REFERENCE_RE = re.compile(
     r"""
     (?P<REAL>\d+\.\d*([eEdD][+-]?\d+)?|\.\d+([eEdD][+-]?\d+)?|\d+[eEdD][+-]?\d+)
   | (?P<INT>\d+)
-  | (?P<DOTOP>\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.)
+  | (?P<DOTOP>(?i:\.(?:eq|ne|lt|le|gt|ge|and|or|not|true|false)\.))
   | (?P<IDENT>[A-Za-z][A-Za-z0-9_$]*)
   | (?P<POW>\*\*)
-  | (?P<OP>[-+*/(),=:])
   | (?P<RELOP><=|>=|==|/=|<|>)
+  | (?P<OP>[-+*/(),=:])
   | (?P<WS>\s+)
     """,
     re.VERBOSE,
@@ -232,3 +242,37 @@ class TestReferenceEquivalence:
         assert len(lines) > 500
         for line in lines:
             assert lexed(line) == reference_tokenize(line), line
+
+
+def upper_outside_strings(line):
+    """``line`` upper-cased except inside character constants and
+    after an inline ``!`` comment."""
+    out, quote = [], ""
+    for idx, char in enumerate(line):
+        if quote:
+            quote = "" if char == quote else quote
+        elif char in "'\"":
+            quote = char
+        elif char == "!":
+            out.append(line[idx:])
+            break
+        else:
+            char = char.upper()
+        out.append(char)
+    return "".join(out)
+
+
+def test_upper_cased_kernels_report_identically(tmp_path, capsys):
+    tree = tmp_path / "upper"
+    for path in sorted(KERNEL_ROOT.glob("*/*.f")):
+        target = tree / path.relative_to(KERNEL_ROOT)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        lines = path.read_text().split("\n")
+        target.write_text("\n".join(upper_outside_strings(line) for line in lines))
+    assert ".GT." in (tree / "cdl" / "induct.f").read_text()
+    assert main(["corpus", "run", str(KERNEL_ROOT)]) == 0
+    lower = capsys.readouterr()
+    assert main(["corpus", "run", str(tree)]) == 0
+    upper = capsys.readouterr()
+    assert "quarantined=0" in upper.err
+    assert upper.out == lower.out

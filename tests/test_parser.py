@@ -3,7 +3,6 @@
 import pytest
 
 from repro.corpus.loader import KERNEL_ROOT
-from repro.corpus.stream import analyze_routine, parse_source
 from repro.engine.engine import DependenceEngine
 from repro.fortran import parser
 from repro.fortran.errors import FortranSyntaxError
@@ -16,6 +15,7 @@ from repro.fortran.parser import (
 )
 from repro.ir.expr import Call, Const, IndexedLoad, RealConst, Var, to_linear
 from repro.ir.loop import ArrayRef, Assign, Conditional, Loop, ScalarRef
+from repro.pipeline import analyze_routine, parse_source, render_routine
 from repro.symbolic.linexpr import LinearExpr
 
 
@@ -341,7 +341,10 @@ class TestStringLiterals:
     def reports(source):
         program = parse_source(source.encode(), "strings")
         engine = DependenceEngine()
-        return [analyze_routine(engine, r).text for r in program.routines]
+        return [
+            render_routine(analyze_routine(engine, r, engine.build_graph))
+            for r in program.routines
+        ]
 
     def test_same_graph_as_without_the_string_lines(self):
         with_strings = self.reports(self.WITH_STRINGS)

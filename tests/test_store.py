@@ -104,11 +104,6 @@ def run_cli(args, *, faults=None, timeout=600):
     )
 
 
-def normalize(text):
-    """Mask the global statement-label counter for cross-run comparison."""
-    return re.sub(r"\bS\d+\b", "S#", text)
-
-
 def fill_store(path, seed=7):
     """Analyze a random nest through a store-backed driver; returns keys."""
     nodes = random_nest(seed, depth=2, statements=3, arrays=2, ndim=2, extent=8)
@@ -959,7 +954,7 @@ class TestKillAndResume:
         # The dependence output must match an uninterrupted run exactly.
         body = resumed.stdout.split("test applications:")[0]
         fresh_body = fresh.stdout.split("test applications:")[0]
-        assert normalize(body) == normalize(fresh_body)
+        assert body == fresh_body
         # And at least one verdict must have come from the killed run.
         assert re.search(r"store: [1-9]\d* hits", resumed.stdout), resumed.stdout
 
@@ -1041,6 +1036,6 @@ class TestKillAndResume:
         assert resumed.returncode == 0, resumed.stderr[-2000:]
         body = resumed.stdout.split("test applications:")[0]
         fresh_body = fresh.stdout.split("test applications:")[0]
-        assert normalize(body) == normalize(fresh_body)
+        assert body == fresh_body
         assert re.search(r"store: [1-9]\d* hits", resumed.stdout)
         assert run_cli(["store", "verify", str(db)]).returncode == 0
