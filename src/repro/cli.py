@@ -154,11 +154,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="deadline applied to requests that carry none (default: "
         "unbounded)",
     )
-    serve.add_argument(
-        "--breaker-reset", type=float, default=2.0, metavar="SECONDS",
-        help="seconds an open circuit breaker waits before probing "
-        "recovery (default 2)",
-    )
 
     client = sub.add_parser(
         "client", help="send a Fortran file to a running analysis service"
@@ -215,13 +210,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     corpus_run.add_argument(
         "--max-rss-mb", type=float, default=None, metavar="MB",
-        help="memory watermark: over MB resident, shed in-memory caches "
-        "and throttle streaming instead of dying",
-    )
-    corpus_run.add_argument(
-        "--compact", action="store_true",
-        help="compact the store after the walk (deflates report "
-        "records in groups)",
+        help="memory watermark: over MB resident, drop the in-memory "
+        "verdict cache instead of dying",
     )
 
     store = sub.add_parser(
@@ -478,7 +468,6 @@ def _serve(args: argparse.Namespace) -> int:
         max_in_flight=args.max_in_flight,
         queue_depth=args.queue_depth,
         default_deadline_ms=args.default_deadline_ms,
-        breaker_reset_timeout=args.breaker_reset,
         policy=FaultPolicy.from_env(),
     )
 
@@ -558,7 +547,6 @@ def _corpus_run(args: argparse.Namespace) -> int:
     unusable tree, 3 on a --strict abort, 4 for an unusable store.
     """
     from repro.corpus.stream import StreamingCorpusRunner
-    from repro.engine.store import StoreError
 
     tree: Path = args.tree
     if not tree.is_dir():
@@ -595,22 +583,6 @@ def _corpus_run(args: argparse.Namespace) -> int:
     if engine.stats.degraded:
         print(engine.stats.failure_report(), file=sys.stderr)
     if store is not None:
-        live = engine.store is not None  # None when the run degraded
-        if args.compact and live:
-            try:
-                before, after = store.compact()
-            except (StoreError, OSError) as exc:
-                print(
-                    f"repro-deps: compaction failed for '{args.store}': {exc}",
-                    file=sys.stderr,
-                )
-                store.close()
-                return EXIT_STORE_ERROR
-            print(
-                f"compacted {args.store}: {before} -> {after} bytes "
-                f"({before - after} reclaimed)",
-                file=sys.stderr,
-            )
         store.close()
     return 0
 

@@ -560,8 +560,7 @@ class StreamingCorpusRunner:
                     f"corpus:{rel.as_posix()}",
                     (
                         f"rss {rss:.0f} MiB over {self.max_rss_mb:.0f} MiB "
-                        f"watermark; shed {shed} cached entr(ies) and "
-                        "throttled streaming"
+                        f"watermark; shed {shed} cached verdict(s)"
                     ),
                 )
             )

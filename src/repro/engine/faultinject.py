@@ -29,8 +29,9 @@ engine's seams:
   load-shedding paths become deterministic;
 * ``reject-store:<n>`` — the first ``<n>`` verdict/report writes to a
   persistent store raise :class:`InjectedFaultError` (simulates a store
-  gone bad mid-run: the driver degrades to memory-only and the service's
-  store breaker trips, then recovers once the fault budget is spent);
+  gone bad mid-run: the driver detaches it and runs memory-only, and the
+  service reopens it after ``STORE_REOPEN_SECONDS``, for good once the
+  fault budget is spent);
 * ``kill-mid-request:<n>`` — the service process dies with ``os._exit``
   while handling its ``<n>``-th analysis request (a crash with requests
   in flight: clients see a dropped connection, the store must recover);
@@ -41,8 +42,8 @@ engine's seams:
   store compaction commits the rewritten segment (a mid-compaction
   crash: the old segment must survive intact);
 * ``fake-rss:<mb>`` — the corpus driver's RSS watermark probe reports
-  this value instead of reading ``/proc``, making memory-backpressure
-  throttling deterministic.
+  this value instead of reading ``/proc``, so the watermark's verdict
+  cache drop happens deterministically.
 
 Terminal directives (``store-die``, ``kill-mid-request``, ``die-file``,
 ``die-compact``) honor the
@@ -264,9 +265,9 @@ def on_store_put() -> None:
 
     ``reject-store:<n>`` fails the first ``n`` writes with
     :class:`InjectedFaultError` — before anything is buffered — so the
-    engine's memory-only degradation and the service's store circuit
-    breaker can be driven deterministically, and recovery can be
-    observed once the fault budget is spent.
+    engine's memory-only degradation and the service's store reopen can
+    be driven deterministically, and recovery can be observed once the
+    fault budget is spent.
     """
     global _STORE_PUTS
     plan = active_plan()
@@ -392,8 +393,8 @@ def on_compact() -> None:
 def fake_rss() -> Optional[float]:
     """The injected RSS reading in MiB (``fake-rss:<mb>``), or None.
 
-    Lets the corpus driver's memory-watermark throttling run in tests
-    without actually ballooning the process.
+    Lets the corpus driver's memory watermark drop its verdict cache in
+    tests without actually ballooning the process.
     """
     plan = active_plan()
     return None if plan is None else plan.fake_rss_mb

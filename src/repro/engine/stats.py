@@ -36,19 +36,6 @@ class EngineStats:
     dropped.
     ``failures`` holds one structured :class:`FailureRecord` per absorbed
     failure event, in occurrence order.
-
-    The long-running analysis service (``repro.service``) reports its
-    request-level outcomes under the same keys: ``shed_requests`` counts
-    admissions refused under overload (503 + ``Retry-After``),
-    ``coalesced_requests`` counts requests served by awaiting another
-    in-flight computation of the same canonical request key, and
-    ``degraded_requests`` counts requests answered with conservative
-    partial results (deadline expiry, absorbed faults).  The live
-    counters are owned by the service's event loop (which never takes
-    the engine lock) and overlaid onto the engine snapshot when
-    ``/stats`` renders; the fields here exist so merged or deserialized
-    service stats keep their meaning.  They are zero outside service
-    runs.
     """
 
     hits: int = 0
@@ -59,9 +46,6 @@ class EngineStats:
     evictions: int = 0
     assumed: int = 0
     routines_skipped: int = 0
-    shed_requests: int = 0
-    coalesced_requests: int = 0
-    degraded_requests: int = 0
     failures: List[FailureRecord] = field(default_factory=list)
     profile: Optional[PhaseProfile] = field(default=None, compare=False)
 
@@ -111,9 +95,6 @@ class EngineStats:
         self.evictions += other.evictions
         self.assumed += other.assumed
         self.routines_skipped += other.routines_skipped
-        self.shed_requests += other.shed_requests
-        self.coalesced_requests += other.coalesced_requests
-        self.degraded_requests += other.degraded_requests
         self.failures.extend(other.failures)
         if other.profile is not None:
             if self.profile is None:
@@ -125,8 +106,6 @@ class EngineStats:
         self.hits = self.misses = self.evictions = 0
         self.store_hits = self.store_foreign_hits = self.store_writes = 0
         self.assumed = self.routines_skipped = 0
-        self.shed_requests = self.coalesced_requests = 0
-        self.degraded_requests = 0
         self.failures.clear()
         if self.profile is not None:
             self.profile.reset()
@@ -153,10 +132,6 @@ class EngineStats:
             out["assumed"] = self.assumed
             out["routines_skipped"] = self.routines_skipped
             out["failures"] = [record.as_dict() for record in self.failures]
-        if self.shed_requests or self.coalesced_requests or self.degraded_requests:
-            out["shed_requests"] = self.shed_requests
-            out["coalesced_requests"] = self.coalesced_requests
-            out["degraded_requests"] = self.degraded_requests
         if self.profile is not None:
             out["profile"] = self.profile.as_dict()
         return out

@@ -45,9 +45,9 @@ I/O error (``ENOSPC``, an unwritable segment) leaves the store *failed*
 every later write or checkpoint raises :class:`StoreError`.  The
 caching driver answers the first such error by detaching the store with
 one ``"store"`` :class:`~repro.engine.faults.FailureRecord` and running
-memory-only; the analysis service's store breaker then probes a fresh
-open.  A failure is never a traceback and never an assumed
-independence.
+memory-only; the analysis service reopens the store from its path on the
+first request ``STORE_REOPEN_SECONDS`` after the detach.  A failure is
+never a traceback and never an assumed independence.
 
 Assumed (degraded) verdicts are never written: persistence must not
 extend the contamination guarantee across runs; a faulted pair gets a

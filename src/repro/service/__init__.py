@@ -14,16 +14,15 @@ invocation.  The robustness layers:
 * :mod:`repro.service.limiter` — admission control: bounded in-flight
   work plus a bounded wait queue, overflow shed with ``503`` and
   ``Retry-After``;
-* :mod:`repro.service.breaker` — the circuit breaker tripping a failing
-  store to memory-only caching, with half-open probe recovery;
 * :mod:`repro.service.server` — the asyncio server: per-request
   deadlines wired into the engine's step budgets, in-flight coalescing
-  of identical requests, graceful SIGTERM drain;
+  of identical requests, memory-only running while a failed store is
+  detached and its reopen after ``STORE_REOPEN_SECONDS``, graceful
+  SIGTERM drain;
 * :mod:`repro.service.client` — a blocking retrying client
   (``repro-deps client``).
 """
 
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.service.limiter import AdmissionLimiter
 from repro.service.protocol import (
@@ -40,7 +39,6 @@ from repro.service.server import (
 __all__ = [
     "AdmissionLimiter",
     "AnalyzeRequest",
-    "CircuitBreaker",
     "DependenceService",
     "ProtocolError",
     "ServiceClient",

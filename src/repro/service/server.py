@@ -22,10 +22,12 @@ machinery layered around the engine seam:
   and ``Retry-After``.
 * **Coalescing** — concurrent requests for the same canonical body share
   one analysis; duplicates cost no admission slot.
-* **Circuit breaker** — a store failure (lock starvation, an
-  unwritable segment, ``ENOSPC``) detaches the store and trips to
-  memory-only mode; the breaker surfaces in ``/healthz`` and recovers
-  through half-open probes that reopen the store.
+* **Store reopen** — a store failure (lock starvation, an unwritable
+  segment, ``ENOSPC``) makes the driver detach the store, and the
+  service runs memory-only; the first request that starts
+  :data:`STORE_REOPEN_SECONDS` after the detach reopens the store from
+  its path, and a failed open restarts the wait.  ``/healthz`` reports
+  the store's mode and its detach and reopen counts.
 * **Graceful shutdown** — SIGTERM/SIGINT stop accepting work (new
   requests get ``503``), drain in-flight requests, checkpoint the store,
   and exit cleanly.
@@ -34,9 +36,8 @@ One invariant ties the layers together: the event loop thread never
 acquires ``engine.serve_lock``.  A handler thread holds that lock for a
 whole build, so a loop-side acquire would let one stuck build stall
 every response — including the watchdog answer for the very request
-that is stuck.  Engine mutations decided on the loop (breaker trips)
-are recorded as pending flags and applied by the next analysis thread;
-``/stats`` serves a snapshot the last analysis took.
+that is stuck.  The store reopen therefore runs on an analysis thread,
+and ``/stats`` serves a snapshot the last analysis took.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from repro.engine.store import StoreError, VerdictStore
 from repro.fortran.errors import FortranSyntaxError
 from repro.instrument import TestRecorder
 from repro.pipeline import analyze_routine, parse_source
-from repro.service.breaker import CircuitBreaker
 from repro.service.limiter import AdmissionLimiter
 from repro.service.protocol import (
     MAX_BODY_BYTES,
@@ -75,6 +75,11 @@ from repro.service.protocol import (
     analysis_payload,
     error_payload,
 )
+
+#: Seconds the service runs memory-only after the driver detached a
+#: failed store before a request reopens it.
+STORE_REOPEN_SECONDS = 2.0
+
 
 class _BadRequest(Exception):
     """A request malformed below the JSON layer (e.g. bad Content-Length)."""
@@ -111,12 +116,7 @@ class ServiceConfig:
     max_request_seconds: float = 300.0
     #: How long shutdown waits for in-flight requests to drain.
     drain_timeout: float = 30.0
-    #: Store breaker: this many ``store`` failures within ``window`` trip.
-    store_failure_threshold: int = 3
-    breaker_window: float = 30.0
-    breaker_reset_timeout: float = 2.0
     policy: FaultPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    cache_size: Optional[int] = None
 
 
 @dataclass
@@ -147,15 +147,6 @@ class ServiceStats:
         }
 
 
-@dataclass
-class _Coalesced:
-    """One in-flight analysis shared by every duplicate request."""
-
-    task: "asyncio.Task"
-    waiters: int = 1
-    started: float = field(default_factory=time.monotonic)
-
-
 class DependenceService:
     """One warm engine behind an asyncio HTTP front end."""
 
@@ -166,32 +157,20 @@ class DependenceService:
         self.limiter = AdmissionLimiter(
             config.max_in_flight, config.queue_depth
         )
-        self.store_breaker = CircuitBreaker(
-            "store",
-            failure_threshold=config.store_failure_threshold,
-            window=config.breaker_window,
-            reset_timeout=config.breaker_reset_timeout,
-        )
-        self._inflight: Dict[str, _Coalesced] = {}
+        #: The analysis every duplicate of a request key shares.
+        self._inflight: Dict[str, "asyncio.Task"] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._tasks: set = set()
         self.port: Optional[int] = None
-        self._detached_store_path: Optional[Path] = None
-        #: Whether the service believes a store is currently attached;
-        #: ``persist is None`` while this is True means the driver
-        #: detached it unilaterally (whole-store failure) — the breaker
-        #: must register that as a trip.
-        self._store_attached = config.store_path is not None
-        self._probing_store = False
-        #: Loop-decided engine transition, applied by the next analysis
-        #: thread: the event loop never takes ``engine.serve_lock`` (a
-        #: build stuck while holding it would stall every response, the
-        #: watchdog path included), so a store trip is recorded here and
-        #: consumed executor-side before building.
-        self._pending_store_trip = False
+        #: When the service saw the driver's store detach (or its last
+        #: reopen fail); None while the store is attached.  This and the
+        #: two counts change only under ``engine.serve_lock``.
+        self._store_detached_at: Optional[float] = None
+        self.store_detaches = 0
+        self.store_reopens = 0
         #: ``engine.stats.as_dict()`` captured under the serve lock by
         #: the most recently completed analysis; ``/stats`` serves this
         #: snapshot so the loop never blocks on an in-progress build.
@@ -205,14 +184,10 @@ class DependenceService:
         store = None
         if config.store_path is not None:
             store = VerdictStore(config.store_path)
-        kwargs: Dict[str, Any] = {}
-        if config.cache_size is not None:
-            kwargs["cache_size"] = config.cache_size
         self.engine = DependenceEngine(
             symbols=default_symbols(),
             store=store,
             policy=config.policy,
-            **kwargs,
         )
         # Single-threaded at startup: safe to read without the lock.
         self._engine_snapshot = self.engine.stats.as_dict()
@@ -426,12 +401,11 @@ class DependenceService:
         )
 
         key = request.coalesce_key()
-        entry = self._inflight.get(key)
-        if entry is not None and not entry.task.done():
+        shared = self._inflight.get(key)
+        if shared is not None and not shared.done():
             # Coalesce: ride the in-flight analysis, consuming no slot.
-            entry.waiters += 1
             self.stats.coalesced += 1
-            return await self._await_analysis(entry.task, request, wait_budget)
+            return await self._await_analysis(shared, request, wait_budget)
 
         # Shed before queueing when saturated beyond both bounds.
         admitted = await self.limiter.acquire()
@@ -453,10 +427,10 @@ class DependenceService:
         task = asyncio.ensure_future(self._run_analysis(request, deadline_ms))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-        self._inflight[key] = _Coalesced(task=task)
+        self._inflight[key] = task
 
         def _cleanup(done: "asyncio.Task", key=key) -> None:
-            if self._inflight.get(key) is not None and self._inflight[key].task is done:
+            if self._inflight.get(key) is done:
                 del self._inflight[key]
             self.limiter.release()
 
@@ -518,20 +492,11 @@ class DependenceService:
     async def _run_analysis(
         self, request: AnalyzeRequest, deadline_ms: Optional[float]
     ) -> Tuple[int, Dict[str, Any]]:
-        """Run one analysis in the executor; owns breaker bookkeeping.
-
-        ``probe_store`` marks this request as the *owner* of a half-open
-        probe — only the owner's outcome settles the breaker, so a
-        concurrent request that happened to run while the probe was
-        outstanding (and may never have touched the store at all) cannot
-        close it.
-        """
+        """Run one analysis in the executor."""
         engine = self.engine
         assert engine is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
-        probe_store = await self._maybe_probe(loop)
         try:
-            status, payload, outcome = await loop.run_in_executor(
+            return await asyncio.get_running_loop().run_in_executor(
                 self._executor,
                 self._analyze_sync,
                 engine,
@@ -539,24 +504,24 @@ class DependenceService:
                 deadline_ms,
             )
         except Exception as exc:
-            self._settle_probe_failure(probe_store)
             self.stats.internal_errors += 1
             return 500, error_payload("internal", str(exc))
-        self._settle_breakers(outcome, probe_store)
-        return status, payload
 
     def _analyze_sync(
         self,
         engine: DependenceEngine,
         request: AnalyzeRequest,
         deadline_ms: Optional[float],
-    ) -> Tuple[int, Dict[str, Any], Dict[str, int]]:
+    ) -> Tuple[int, Dict[str, Any]]:
         """The blocking analysis body (runs on an executor thread).
 
-        Returns ``(http_status, payload, outcome)`` where ``outcome``
-        counts this request's store failures for the breaker.
+        Returns ``(http_status, payload)``.
         """
-        self._apply_pending_transitions(engine)
+        # Only a detached store needs the lock here: taking it on every
+        # request would queue each parse behind whatever build is running.
+        if self.config.store_path is not None and engine.store is None:
+            with engine.serve_lock:
+                self._reopen_store(engine)
         started = time.perf_counter()
         faultinject.on_request()
         deadline = (
@@ -565,11 +530,7 @@ class DependenceService:
         try:
             program = parse_source(request.source, request.name)
         except FortranSyntaxError as exc:
-            return (
-                422,
-                error_payload("syntax error", exc.diagnostic()),
-                {"store": 0, "syntax": 1},
-            )
+            return 422, error_payload("syntax error", exc.diagnostic())
         stats = EngineStats()
         recorder = TestRecorder()
         build = functools.partial(
@@ -593,157 +554,72 @@ class DependenceService:
         payload = analysis_payload(
             request, routines, stats, recorder, time.perf_counter() - started
         )
-        outcome = {
-            "store": sum(1 for f in stats.failures if f.kind == "store"),
-            "syntax": 0,
-        }
         with engine.serve_lock:
+            self._note_store_detach(engine)
             self._engine_snapshot = engine.stats.as_dict()
-        return 200, payload, outcome
+        return 200, payload
 
-    # -- breakers ---------------------------------------------------------
+    # -- the store --------------------------------------------------------
 
-    def _settle_breakers(self, outcome: Dict[str, int], probe_store: bool) -> None:
-        """Feed one request's store failure count into the breaker.
+    def _note_store_detach(self, engine: DependenceEngine) -> None:
+        """Start the reopen wait when the driver has dropped the store.
 
-        Runs on the event loop (the breaker is loop-owned), but never
-        touches the engine under ``serve_lock`` — a trip decision is
-        recorded as a pending flag and applied by the next analysis
-        thread in :meth:`_apply_pending_transitions`.  Only the probe
-        owner settles a half-open breaker; other requests feed the
-        failure window only while the breaker is closed.
-
-        The store needs one extra wrinkle: the driver detaches a failing
-        store *itself* (its first failure → memory-only), so by the time
-        this runs the store may already be gone.  That self-detach is
-        the trip — the breaker's window never sees a second failure
-        because there is no store left to fail.
-        """
-        engine = self.engine
-        if engine is None:
-            return
-        if outcome.get("syntax"):
-            # Parse never touched the store, so an owned probe proved
-            # nothing: settle it as a failure (re-open, retry after the
-            # reset timeout) rather than leaving the breaker half-open
-            # with no owner left to ever settle it.
-            self._settle_probe_failure(probe_store)
-            return
-        store_failures = outcome.get("store", 0)
-        driver_detached = (
-            engine.driver.persist is None and self._store_attached
-        )
-        if driver_detached:
-            self._store_attached = False
-            self._detached_store_path = self.config.store_path
-            self.store_breaker.record_failure(store_failures or 1)
-            self.store_breaker.trip()
-            if probe_store:
-                self._probing_store = False
-        elif probe_store:
-            self._probing_store = False
-            if store_failures:
-                self.store_breaker.record_failure(store_failures)
-                self._pending_store_trip = True
-            else:
-                self.store_breaker.record_success()
-        elif self.store_breaker.state == "closed":
-            if store_failures:
-                if self.store_breaker.record_failure(store_failures):
-                    self._pending_store_trip = True
-            else:
-                self.store_breaker.record_success()
-
-    def _settle_probe_failure(self, probe_store: bool) -> None:
-        """Settle an owned probe as failed (re-open + re-degrade pending)."""
-        if probe_store:
-            self._probing_store = False
-            self.store_breaker.record_failure()
-            self._pending_store_trip = True
-
-    def _apply_pending_transitions(self, engine: DependenceEngine) -> None:
-        """Consume a loop-decided store trip (analysis threads only)."""
-        if self._pending_store_trip:
-            self._pending_store_trip = False
-            self._trip_store_now(engine)
-
-    def _trip_store_now(self, engine: DependenceEngine) -> None:
-        """Detach the persistent tier: memory-only until a probe succeeds."""
-        with engine.serve_lock:
-            store = engine.driver.persist
-            engine.driver.persist = None
-        self._store_attached = False
-        if store is not None:
-            self._detached_store_path = Path(store.path)
-            try:
-                if not store.closed:
-                    store.close()
-            except Exception:
-                pass
-        elif self.config.store_path is not None:
-            self._detached_store_path = self.config.store_path
-
-    async def _maybe_probe(self, loop) -> bool:
-        """Half-open recovery: reattach the store for one probe.
-
-        Returns True when the calling request owns the probe — the one
-        request whose outcome is allowed to settle the half-open
-        breaker.  The reattach runs on the default executor (it takes
-        ``serve_lock``).
+        The driver detaches a failing store itself (see
+        :meth:`~repro.engine.cache.CachedDriver._degrade_store`), so the
+        service learns of it by looking.  Caller holds ``serve_lock``.
         """
         if (
-            not self._probing_store
-            and self._detached_store_path is not None
-            and self.store_breaker.should_probe()
+            self.config.store_path is not None
+            and engine.store is None
+            and self._store_detached_at is None
         ):
-            self._probing_store = True
-            reattached = await loop.run_in_executor(
-                None, self._reattach_store
-            )
-            if reattached:
-                return True
-            # Couldn't even open: the probe fails without a request.
-            self._probing_store = False
-            self.store_breaker.record_failure()
-        return False
+            self._store_detached_at = time.monotonic()
+            self.store_detaches += 1
 
-    def _reattach_store(self) -> bool:
-        engine = self.engine
-        path = self._detached_store_path
-        if engine is None or path is None:
-            return False
+    def _reopen_store(self, engine: DependenceEngine) -> None:
+        """Reattach the store once it has been detached long enough.
+
+        A failed open restarts the wait: one that raises, or one that
+        returns a store already failed (lock starvation or an I/O error
+        at open).  Caller holds ``serve_lock``.
+        """
+        self._note_store_detach(engine)
+        detached_at = self._store_detached_at
+        if detached_at is None or time.monotonic() - detached_at < STORE_REOPEN_SECONDS:
+            return
         try:
-            store = VerdictStore(path)
+            store = VerdictStore(self.config.store_path)
         except (StoreError, OSError):
-            return False
-        with engine.serve_lock:
-            engine.driver.persist = store
-        self._store_attached = True
-        return True
+            store = None
+        if store is None or store.failure is not None:
+            self._store_detached_at = time.monotonic()
+            return
+        engine.driver.persist = store
+        self._store_detached_at = None
+        self.store_reopens += 1
 
     # -- introspection ----------------------------------------------------
 
     def health_payload(self) -> Dict[str, Any]:
         engine = self.engine
-        store_mode = "none"
-        if engine is not None and engine.store is not None:
+        if self.config.store_path is None:
+            store_mode = "none"
+        elif engine is not None and engine.store is not None:
             store_mode = "attached"
-        elif self._detached_store_path is not None:
+        else:
             store_mode = "memory-only"
-        elif self.config.store_path is not None:
-            store_mode = "detached"
-        healthy = (
-            not self._draining
-            and engine is not None
-            and self.store_breaker.state == "closed"
-        )
+        if self._draining:
+            status = "draining"
+        else:
+            status = "degraded" if store_mode == "memory-only" else "ok"
         return {
-            "status": "ok" if healthy else ("draining" if self._draining else "degraded"),
+            "status": status,
             "draining": self._draining,
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "store": {
                 "mode": store_mode,
-                "breaker": self.store_breaker.as_dict(),
+                "detaches": self.store_detaches,
+                "reopens": self.store_reopens,
             },
             "admission": self.limiter.as_dict(),
         }
@@ -752,20 +628,11 @@ class DependenceService:
         """Service and engine counters; never blocks on a build.
 
         The engine half is the snapshot the most recently completed
-        analysis captured under ``serve_lock``; the request-level
-        counters (shed/coalesced/degraded live on the loop, not on the
-        engine) are overlaid here, mirroring ``EngineStats.as_dict``'s
-        only-when-nonzero convention.
+        analysis captured under ``serve_lock``.
         """
         payload: Dict[str, Any] = {"service": self.stats.as_dict()}
-        snapshot = self._engine_snapshot
-        if self.engine is not None and snapshot is not None:
-            engine_dict = dict(snapshot)
-            if self.stats.shed or self.stats.coalesced or self.stats.degraded:
-                engine_dict["shed_requests"] = self.stats.shed
-                engine_dict["coalesced_requests"] = self.stats.coalesced
-                engine_dict["degraded_requests"] = self.stats.degraded
-            payload["engine"] = engine_dict
+        if self.engine is not None and self._engine_snapshot is not None:
+            payload["engine"] = self._engine_snapshot
         return payload
 
 

@@ -14,6 +14,9 @@ that codegen skeleton on top of :mod:`repro.graph`:
    all remaining levels (emitted as a ``FORALL``); a cycle keeps a serial
    ``DO`` at level k and recurses at level k+1.
 
+The dependence graph carries array dependences only, so the scalars the
+region assigns add their own def-use edges (see :func:`_scalar_edges`).
+
 The output is pseudo-Fortran-90 text; tests check which statements end up
 vectorized vs serialized against hand-derived expectations for the classic
 kernels.
@@ -27,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.dirvec.vectors import carrier_level
 from repro.graph.depgraph import DependenceGraph, build_dependence_graph
 from repro.ir.context import SymbolEnv
-from repro.ir.loop import Assign, Loop, Node, walk_nodes
+from repro.ir.expr import Opaque, Var
+from repro.ir.loop import Assign, Loop, Node, ScalarRef, walk_nodes
 
 
 @dataclass
@@ -70,9 +74,65 @@ def vectorize(
     for edge in graph.edges:
         levels = {carrier_level(v) for v in edge.vectors}
         edges.append((edge.source.stmt.stmt_id, edge.sink.stmt.stmt_id, levels))
+    edges.extend(_scalar_edges(infos))
     report = VectorizationReport([])
     _codegen(infos, 1, edges, report, indent=0)
     return report
+
+
+def _scalar_edges(infos: List[_StmtInfo]) -> List[Tuple[int, int, Set[int]]]:
+    """Statement edges through the scalars the region assigns.
+
+    A scalar is one cell in every iteration, so a statement assigning it
+    depends both ways on every statement that reads or assigns it:
+    carried at each loop level the two share, and loop independent from
+    the earlier statement to the later one.  This keeps a definition and
+    its uses in one serial ``DO``, in source order.  Without these edges
+    a definition inside a loop would vectorize to a ``FORALL`` storing n
+    values into one cell, and its uses, distributed into a loop of their
+    own, would all see the last value.
+    """
+    names = {info.stmt.stmt_id: _scalar_names(info) for info in infos}
+    found: Dict[Tuple[int, int], Set[int]] = {}
+    for define in infos:
+        lhs = define.stmt.lhs
+        if not isinstance(lhs, ScalarRef):
+            continue
+        for other in infos:
+            if lhs.name not in names[other.stmt.stmt_id]:
+                continue
+            shared = 0
+            for outer, inner in zip(define.loops, other.loops):
+                if outer is not inner:
+                    break
+                shared += 1
+            for src, sink in ((define, other), (other, define)):
+                levels = set(range(1, shared + 1))
+                if src.order < sink.order:
+                    levels.add(0)
+                if levels:
+                    key = (src.stmt.stmt_id, sink.stmt.stmt_id)
+                    found.setdefault(key, set()).update(levels)
+    return [(src, sink, levels) for (src, sink), levels in found.items()]
+
+
+def _scalar_names(info: _StmtInfo) -> Set[str]:
+    """Every scalar a statement reads or assigns, counting its subscripts
+    and the bounds of the loops around it."""
+    stmt = info.stmt
+    exprs = [stmt.rhs]
+    for loop in info.loops:
+        exprs.extend((loop.lower, loop.upper))
+    if isinstance(stmt.lhs, ScalarRef):
+        names = {stmt.lhs.name}
+    else:
+        names = set()
+        exprs.extend(stmt.lhs.subscripts)
+    for expr in exprs:
+        for node in expr.walk():
+            if isinstance(node, (Var, Opaque)):
+                names.add(node.name)
+    return names
 
 
 def _codegen(

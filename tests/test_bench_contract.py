@@ -5,9 +5,10 @@ named functions and methods at every module that binds them, and
 ``workloads.py`` generates its inputs with the corpus generator.  A
 rename or move in ``src/`` breaks the benchmark without failing any
 analyzer test, so this module loads both files by path, installs the
-tracer, builds a tiny version of each input, and runs ``analyze`` and
-``corpus run`` under the tracer to show the wrapped binding sites are
-the ones the analyzer actually calls.
+tracer, builds a tiny version of each input, and runs ``analyze``,
+``corpus run`` and one request to an in-process ``serve`` under the
+tracer to show the wrapped binding sites are the ones the analyzer
+actually calls.
 """
 
 import importlib.util
@@ -17,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.service.server import ServiceConfig
+from tests.test_service import ServiceHarness
 
 E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
 
@@ -78,3 +81,26 @@ def test_tracer_binds_and_inputs_build(bench, tmp_path, capsys):
     assert counts["graph.pairs"] > 0
     assert counts["engine.misses"] > 0
     assert counts["single.applications"] > 0
+
+
+def test_tracer_binds_the_service_spans(bench):
+    spans, workloads = bench
+    (_, source), *_ = workloads.dense_routines(1, 0.02)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # As the service workload runs it: one in-process server on a
+        # loop thread, its analyses on executor threads.
+        with ServiceHarness(ServiceConfig(port=0)) as harness:
+            reply = harness.client().analyze(source, name="contract")
+    finally:
+        tracer.uninstall()
+    assert reply["status"] == "ok"
+    table = tracer.aggregate(0.0, 1.0)["spans"]
+    for span in (
+        "service.decode",
+        "service.serve_build",
+        "service.handler",
+        "service.encode",
+    ):
+        assert span in table, f"span {span} never recorded"

@@ -295,7 +295,7 @@ class TestFaultIsolation:
         pressure = [f for f in engine.stats.failures if f.kind == "pressure"]
         assert len(pressure) == 1  # reported once, not per file
         assert "watermark" in pressure[0].error
-        assert text == reference  # throttling never changes the answers
+        assert text == reference  # dropping the cache never changes the answers
 
     def test_store_rejection_degrades_without_losing_output(
         self, tmp_path, monkeypatch
@@ -454,15 +454,6 @@ class TestCorpusCLI:
         assert warm.out == cold.out
         assert "skip_rate=1.00" in warm.err
         assert "skip_rate=0.00" in cold.err
-
-    def test_run_compact_flag_reports_reclaimed_bytes(self, tmp_path, capsys):
-        tree = make_tree(tmp_path / "t", files=2)
-        store = tmp_path / "s.rvs"
-        code = main(
-            ["corpus", "run", str(tree), "--store", str(store), "--compact"]
-        )
-        assert code == 0
-        assert "compacted" in capsys.readouterr().err
 
     def test_strict_cli_exits_three_without_traceback(
         self, tmp_path, monkeypatch, capsys

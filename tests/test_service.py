@@ -1,16 +1,16 @@
-"""The analysis service: protocol, admission, breakers, deadlines, drain.
+"""The analysis service: protocol, admission, store reopen, deadlines, drain.
 
 Three layers of coverage:
 
-* unit tests for the self-contained pieces — request validation, the
-  admission limiter, the circuit-breaker state machine (fake clock);
+* unit tests for the self-contained pieces — request validation and the
+  admission limiter;
 * engine-seam tests — request deadlines degrading conservatively through
   ``serve_build``, and two threads racing one canonical key yielding
   byte-identical graphs with exactly one miss (the property request
   coalescing builds on);
 * integration tests against a real in-process server on a loopback
   socket — coalescing, load shedding with ``Retry-After``, deadline
-  watchdog, store-breaker trip and half-open recovery, graceful drain —
+  watchdog, store detach and timed reopen, graceful drain —
   driven through the blocking :class:`~repro.service.client.ServiceClient`.
 
 The conservative contract is asserted throughout: a degraded response
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import shutil
 import socket
+import sys
 import threading
 import time
 
@@ -35,9 +37,9 @@ from repro.engine.stats import EngineStats
 from repro.fortran.parser import parse_fragment
 from repro.instrument import TestRecorder
 from repro.ir.normalize import normalize_steps
-from repro.service.breaker import CircuitBreaker
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
 from repro.service.limiter import AdmissionLimiter
+from repro.service import server
 from repro.service.protocol import AnalyzeRequest, ProtocolError, render_analysis
 from repro.service.server import DependenceService, ServiceConfig
 
@@ -375,76 +377,6 @@ class TestAdmissionLimiter:
 
 
 # ---------------------------------------------------------------------------
-# breaker
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_trips_on_burst_not_on_trickle(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "t", failure_threshold=3, window=10.0, clock=clock
-        )
-        # Trickle: failures spread wider than the window never trip.
-        for _ in range(5):
-            assert not breaker.record_failure()
-            clock.now += 20.0
-        assert breaker.state == "closed"
-        # Burst: three inside the window trip.
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-
-    def test_success_clears_the_window(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker("t", failure_threshold=2, clock=clock)
-        breaker.record_failure()
-        breaker.record_success()
-        assert not breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_probe_cycle(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            "t", failure_threshold=1, reset_timeout=5.0, clock=clock
-        )
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allows
-        assert not breaker.should_probe()  # timer not elapsed
-        clock.now += 6.0
-        assert breaker.should_probe()  # exactly one caller wins
-        assert breaker.state == "half-open"
-        assert breaker.allows
-        assert not breaker.should_probe()  # probe outstanding
-        # Probe fails: reopen, timer restarts.
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock.now += 6.0
-        assert breaker.should_probe()
-        # Probe succeeds: closed again.
-        assert breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_forced_trip(self):
-        breaker = CircuitBreaker("t", failure_threshold=99)
-        breaker.trip()
-        assert breaker.state == "open"
-        assert breaker.trips == 1
-        breaker.trip()  # idempotent on the counter while open
-        assert breaker.trips == 1
-
-
-# ---------------------------------------------------------------------------
 # the real server on a loopback socket
 
 
@@ -620,7 +552,6 @@ class TestServiceHTTP:
             assert sheds, f"expected at least one shed, got {outcomes}"
             stats = harness.client().stats()
             assert stats["service"]["shed"] >= 1
-            assert stats["engine"]["shed_requests"] >= 1
             health = harness.client().healthz()
             assert health["admission"]["shed"] >= 1
 
@@ -674,7 +605,6 @@ class TestServiceHTTP:
             assert len(rendered) == 1  # byte-identical answers
             stats = harness.client().stats()
             assert stats["service"]["coalesced"] == 2
-            assert stats["engine"]["coalesced_requests"] == 2
             # One analysis ran: the engine saw each canonical key once.
             assert stats["service"]["requests"] >= 3
             health = harness.client().healthz()
@@ -684,40 +614,153 @@ class TestServiceHTTP:
         self, fresh_request_counters, tmp_path
     ):
         monkeypatch = fresh_request_counters
+        monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 0.2)
         store_path = tmp_path / "svc.db"
         monkeypatch.setenv(faultinject.ENV_VAR, "reject-store:1")
-        config = ServiceConfig(
-            store_path=store_path, breaker_reset_timeout=0.2
-        )
-        with ServiceHarness(config) as harness:
+        with ServiceHarness(ServiceConfig(store_path=store_path)) as harness:
             client = harness.client()
-            # First request: the first store write is rejected, the
-            # driver detaches the store, the breaker must register it.
+            # First request: the first store write is rejected and the
+            # driver detaches the store.
             first = client.analyze(KERNEL, name="saxpy")
             # The analysis itself still succeeded (memory tier absorbed
             # it; a store loss degrades persistence, not verdicts).
             assert first["routines"][0]["graph"]["edges"]
             health = client.healthz()
             assert health["store"]["mode"] == "memory-only"
-            assert health["store"]["breaker"]["state"] == "open"
+            assert health["store"]["detaches"] >= 1
             assert health["status"] == "degraded"
 
-            # After the reset timeout the next request probes: the fault
-            # budget is spent, so reattachment sticks and writes flow.
+            # After the wait the next request reopens the store: the
+            # fault budget is spent, so the reopen sticks and writes flow.
             time.sleep(0.3)
             second = client.analyze(KERNEL_B, name="other")
             assert second["status"] == "ok"
             health = client.healthz()
             assert health["store"]["mode"] == "attached"
-            assert health["store"]["breaker"]["state"] == "closed"
-            assert health["store"]["breaker"]["trips"] >= 1
+            assert health["store"]["reopens"] >= 1
             assert health["status"] == "ok"
             stats = client.stats()
             assert stats["engine"].get("store_writes", 0) >= 1
-        # The reattached store survives shutdown with the probe's writes.
+        # The reopened store survives shutdown with its writes.
         from repro.engine import VerdictStore
 
         assert VerdictStore.scan(store_path).verdicts >= 1
+
+    def test_reopen_survives_a_syntax_error(
+        self, fresh_request_counters, tmp_path
+    ):
+        monkeypatch = fresh_request_counters
+        monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 0.0)
+        monkeypatch.setenv(faultinject.ENV_VAR, "reject-store:1")
+        config = ServiceConfig(store_path=tmp_path / "svc.db")
+        with ServiceHarness(config) as harness:
+            client = harness.client()
+            client.analyze(KERNEL, name="saxpy")
+            assert client.healthz()["store"]["mode"] == "memory-only"
+            # This request reopens the store before its parse fails; a
+            # parse never touches the store, so it stays attached.
+            with pytest.raises(ServiceError) as err:
+                client.analyze(BAD_KERNEL, name="broken")
+            assert err.value.status == 422
+            health = client.healthz()
+            assert health["store"] == {
+                "mode": "attached", "detaches": 1, "reopens": 1
+            }
+            assert health["status"] == "ok"
+
+    @pytest.mark.parametrize("breakage", ["path-is-a-file", "segment-is-a-dir"])
+    def test_failed_reopen_stays_memory_only_and_retries(
+        self, fresh_request_counters, tmp_path, breakage
+    ):
+        monkeypatch = fresh_request_counters
+        store_path = tmp_path / "svc.db"
+        moved = tmp_path / "moved.db"
+        with ServiceHarness(ServiceConfig()) as harness:
+            reference = harness.client().analyze(KERNEL_B, name="other")
+        monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 0.0)
+        monkeypatch.setenv(faultinject.ENV_VAR, "reject-store:1")
+        with ServiceHarness(ServiceConfig(store_path=store_path)) as harness:
+            client = harness.client()
+            client.analyze(KERNEL, name="saxpy")
+            assert client.healthz()["store"]["mode"] == "memory-only"
+            # Break the store path while the store is detached: an
+            # ordinary file makes VerdictStore refuse to open, and a
+            # directory in place of the segment gives a failed store.
+            store_path.rename(moved)
+            if breakage == "path-is-a-file":
+                store_path.write_text("not a store\n")
+            else:
+                (store_path / "store.seg").mkdir(parents=True)
+            tried = time.monotonic()
+            answer = client.analyze(KERNEL_B, name="other")
+            assert answer["routines"] == reference["routines"]
+            health = client.healthz()
+            assert health["store"] == {
+                "mode": "memory-only", "detaches": 1, "reopens": 0
+            }
+            assert health["status"] == "degraded"
+            # The failed open restarted the wait, so with the directory
+            # back a request inside the wait leaves the store detached...
+            assert harness.service._store_detached_at >= tried
+            if store_path.is_dir():
+                shutil.rmtree(store_path)
+            else:
+                store_path.unlink()
+            moved.rename(store_path)
+            monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 60.0)
+            client.analyze(KERNEL, name="saxpy")
+            assert client.healthz()["store"]["mode"] == "memory-only"
+            # ...and the first request after it reattaches the store.
+            monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 0.0)
+            client.analyze(KERNEL, name="saxpy")
+            health = client.healthz()
+            assert health["store"] == {
+                "mode": "attached", "detaches": 1, "reopens": 1
+            }
+            assert health["status"] == "ok"
+
+    def test_concurrent_requests_reopen_once_per_detach(
+        self, fresh_request_counters, tmp_path
+    ):
+        monkeypatch = fresh_request_counters
+        monkeypatch.setattr(server, "STORE_REOPEN_SECONDS", 0.0)
+        monkeypatch.setenv(faultinject.ENV_VAR, "reject-store:3")
+        config = ServiceConfig(
+            store_path=tmp_path / "svc.db", max_in_flight=4, queue_depth=16
+        )
+        # Each kernel's first pair has its own stride, so every request
+        # writes to the store and can meet a rejection.
+        sources = [
+            KERNEL.replace("saxpy", f"k{i}").replace("a(i+1)", f"a({i + 2}*i+1)")
+            for i in range(12)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceHarness(config) as harness:
+                threads = [
+                    threading.Thread(
+                        target=harness.client(retries=5).analyze,
+                        args=(source,),
+                        kwargs={"name": f"k{i}"},
+                    )
+                    for i, source in enumerate(sources)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                store = harness.client().healthz()["store"]
+        finally:
+            sys.setswitchinterval(interval)
+        # Every reopen follows its own detach: an open raced by two
+        # requests would count two reopens for one detach.
+        assert store["detaches"] >= 1
+        assert store["detaches"] - store["reopens"] in (0, 1)
+        assert (store["mode"] == "attached") == (
+            store["detaches"] == store["reopens"]
+        )
 
     def test_draining_rejects_new_work(self):
         harness = ServiceHarness(ServiceConfig())
@@ -767,32 +810,3 @@ class TestServiceHTTP:
             assert stats["service"]["requests"] >= 1
             assert health["draining"] is False
             worker.join(30)
-
-
-class TestProbeOwnership:
-    """Only the request that owns a half-open probe settles the breaker."""
-
-    def test_non_owner_cannot_settle_half_open(self, tmp_path):
-        config = ServiceConfig(
-            store_path=tmp_path / "probe-store", breaker_reset_timeout=0.0
-        )
-        service = DependenceService(config)
-        service._open_engine()
-        try:
-            clean = {"store": 0, "syntax": 0}
-
-            service.store_breaker.trip()
-            assert service.store_breaker.should_probe()  # half-open
-            # A concurrent success that never owned the probe (it may
-            # not even have touched the store) must not close it...
-            service._settle_breakers(clean, probe_store=False)
-            assert service.store_breaker.state == "half-open"
-            # ...while the owner's clean outcome does.
-            service._probing_store = True
-            service._settle_breakers(clean, probe_store=True)
-            assert service.store_breaker.state == "closed"
-            assert service._probing_store is False
-        finally:
-            engine = service.engine
-            assert engine is not None
-            DependenceService._close_engine(engine, engine.store)

@@ -1008,26 +1008,38 @@ class TestKillAndResume:
         db = tmp_path / "s.db"
         fresh = run_cli(["analyze", str(kernel_file), "--counts"])
         assert fresh.returncode == 0
-        env = subprocess_env()
-        env["REPRO_FAULTS"] = f"store-die:{DIE_MID_RUN}"
-        procs = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "analyze",
-                    str(kernel_file), "--store", str(db),
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
+        # Concurrent writers dedup each other's records on flush: a flush
+        # appends only the records of its routine that the store lacks,
+        # and a flush that finishes leaves all of them in the store.  With
+        # one kill point of 3, writer 1 could flush routine 1 and writer 2
+        # routine 2, each making 2 appends, and neither died.  So writer 1
+        # is killed at its append 2 and writer 2 at its append 3:
+        # * one of them dies: if neither did, they appended at most
+        #   1 + 2 = 3 records, but a finished run leaves all 4 of KERNEL's
+        #   verdicts in the store;
+        # * the resumed run finds store hits: writer 2's routine 1 flush
+        #   makes at most 2 appends, so it finishes and routine 1's
+        #   verdicts are durable.  Kill point 2 for both would not do: a
+        #   writer killed inside a flush loses the whole flush, so both
+        #   could die with nothing durable.
+        procs = []
+        for die_at in (2, DIE_MID_RUN):
+            env = subprocess_env()
+            env["REPRO_FAULTS"] = f"store-die:{die_at}"
+            procs.append(
+                subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro", "analyze",
+                        str(kernel_file), "--store", str(db),
+                    ],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
             )
-            for _ in range(2)
-        ]
         for p in procs:
             p.communicate(timeout=600)
-        # Concurrent writers dedup each other's records on flush, so the
-        # slower writer appends fewer records and its kill point may
-        # never fire — but at least one writer must have died mid-write.
         codes = {p.returncode for p in procs}
         assert codes <= {0, 9} and 9 in codes, codes
         resumed = run_cli(
